@@ -1118,9 +1118,9 @@ def cmd_profile(args) -> int:
 
     backend_lines = []
     if args.backend in ("compiled", "auto"):
-        # One untraced run with observability off: the only state the
-        # fast bucket-queue runtime engages in, so its wave/cache
-        # counters (reset first) describe exactly this profile.
+        # One untraced run with observability off, so its wave/cache
+        # counters (reset first) describe exactly this profile and its
+        # time is the run's alone.
         import time as _time
 
         from .kernel import cache_stats, clear_cache
@@ -1134,7 +1134,8 @@ def cmd_profile(args) -> int:
         ks = cache_stats()
         active = "compiled"
         if args.backend == "auto" and ks["fallbacks"]:
-            active = "interpreted (auto fell back)"
+            # the reason Simulator.backend_fallback_reason recorded
+            active = f"interpreted (auto fell back: {ks['fallback_reason']})"
         backend_lines = [
             f"  backend: requested={args.backend} active={active}; "
             f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "

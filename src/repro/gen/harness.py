@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 from ..ir.nodes import Program, walk
 from ..machine import get_machine
+from ..sim.budget import BudgetExceededError
 from ..sim.engine import CollectiveMismatchError, DeadlockError, SimResult
+from ..sim.flightrec import FLIGHT
 from ..workflow.pipeline import ModelingWorkflow
 from .generator import GeneratedProgram
 
@@ -170,13 +172,14 @@ def _backend_divergence(
 ) -> str | None:
     """Re-run DE and AM on the configured backend; describe any divergence.
 
-    Three things count: different statistics bytes, a different event
-    trace, or the compiled path crashing on a program the interpreted
-    kernel just completed.  The statistics runs exercise the fast
-    bucket-queue runtime (observability off); the trace run exercises
-    the request-replay path through the tracing engine.  A strict
-    ``compiled`` backend refusing a non-lowerable program is not a
-    divergence — ``auto`` covers that program via its fallback.
+    Four things count: different statistics bytes, a different event
+    trace, different results with budgets and the flight recorder armed
+    (see :func:`_armed_divergence`), or the compiled path crashing on a
+    program the interpreted kernel just completed.  The statistics runs
+    exercise the fast bucket-queue runtime bare and armed; the trace run
+    exercises the request-replay path through the tracing engine.  A
+    strict ``compiled`` backend refusing a non-lowerable program is not
+    a divergence — ``auto`` covers that program via its fallback.
     """
     try:
         wf = _workflow(program, inputs, config, seed, backend=config.backend)
@@ -200,6 +203,55 @@ def _backend_divergence(
         return f"trace comparison crashed: {type(exc).__name__}: {exc}"
     if repr(tr_i.trace.events) != repr(tr_c.trace.events):
         return "DE traces differ between interpreted and compiled backends"
+    ref = _workflow(program, inputs, config, seed, backend="interpreted")
+    ref.prime(calibration=wf.calibration, compiled=wf.compiled)
+    return _armed_divergence(ref, wf, inputs, config.nprocs)
+
+
+def _armed_divergence(
+    ref: ModelingWorkflow, wf: ModelingWorkflow, inputs: dict, nprocs: int
+) -> str | None:
+    """Re-run DE and AM with budgets and the flight recorder armed.
+
+    Each estimator runs once to completion under untripped budgets and
+    once with a virtual-time budget tripping halfway.  The stats, the
+    flight ring, and the budget error's partial stats and flight dump
+    (wall-clock reading masked) must match the interpreted reference
+    byte for byte.  Skipped while a caller has the recorder armed, so
+    its ring is never clobbered.
+    """
+    if FLIGHT.enabled:
+        return None
+
+    def observe(run) -> tuple:
+        FLIGHT.enable()
+        try:
+            full = run(inputs, nprocs, max_events=10**12, max_wall_seconds=3600.0)
+            ring = (_stats_fingerprint(full), FLIGHT.events, FLIGHT.events_seen)
+            if not full.elapsed > 0:
+                return ring, None
+            FLIGHT.enable()  # a fresh ring for the tripping run
+            try:
+                run(inputs, nprocs, max_virtual_time=full.elapsed / 2)
+                return ring, None
+            except BudgetExceededError as exc:
+                dump = dict(exc.flight, budget=dict(exc.flight["budget"], wall_seconds=None))
+                partial = json.dumps(
+                    [p.to_dict() for p in exc.stats.procs], sort_keys=True)
+                return ring, (str(exc), partial, json.dumps(dump, sort_keys=True))
+        finally:
+            FLIGHT.disable()
+
+    for name in ("run_de", "run_am"):
+        try:
+            same = observe(getattr(wf, name)) == observe(getattr(ref, name))
+        except Exception as exc:  # noqa: BLE001 - crash parity is the invariant
+            return f"armed {name} crashed: {type(exc).__name__}: {exc}"
+        if not same:
+            return (
+                f"{name[4:].upper()} with budgets and the flight recorder armed "
+                "differs between interpreted and compiled backends"
+            )
     return None
 
 

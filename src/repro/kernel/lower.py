@@ -20,6 +20,12 @@ the SHA-256 of its printed IR — with two entry points:
     Shared-state flushes keep per-rank stats accumulation in exactly the
     engine's floating-point order.
 
+Comp blocks that carry a Python ``kernel(env, arrays)`` callable lower
+when the callable is an importable module-level function: the generated
+module re-imports it by ``module:qualname`` and calls it with a per-rank
+dict holding exactly the scalars the interpreter's ``env`` would hold,
+then reloads every program variable from that dict.
+
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
 falls back to the interpreter for that program (with a logged reason).
@@ -33,6 +39,7 @@ ranks in one 2-D batch** before the run starts (the SPMD case).
 from __future__ import annotations
 
 import hashlib
+import importlib
 import time
 from dataclasses import dataclass, field
 
@@ -88,6 +95,8 @@ __all__ = [
     "cache_stats",
     "clear_cache",
     "cached_kernels",
+    "kernel_ref",
+    "resolve_kernel",
 ]
 
 log = get_logger("kernel.lower")
@@ -119,6 +128,9 @@ _STATS = {
     "lowering_seconds": 0.0,
 }
 
+# The reason of the most recent auto-mode fallback (``repro profile``).
+_LAST_FALLBACK: list[str | None] = [None]
+
 
 def _count(name: str, amount: float = 1) -> None:
     _STATS[name] += amount
@@ -129,6 +141,7 @@ def _count(name: str, amount: float = 1) -> None:
 def record_fallback(program_name: str, reason: str) -> None:
     """Log and count one auto-mode fallback to the interpreted kernel."""
     _count("fallbacks")
+    _LAST_FALLBACK[0] = reason
     log.info("backend=auto: %s falls back to interpreted kernel: %s", program_name, reason)
 
 
@@ -136,12 +149,14 @@ def cache_stats() -> dict:
     """Snapshot of lowering/cache counters (for ``repro profile``)."""
     out = dict(_STATS)
     out["cached_programs"] = len(_CACHE)
+    out["fallback_reason"] = _LAST_FALLBACK[0]
     out.update(vectorize.wave_stats())
     return out
 
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _LAST_FALLBACK[0] = None
     for key in _STATS:
         _STATS[key] = 0.0 if key == "lowering_seconds" else 0
     vectorize.reset_wave_stats()
@@ -152,8 +167,56 @@ def cached_kernels() -> dict[str, "CompiledKernel"]:
 
 
 def program_fingerprint(program: Program) -> str:
-    """Content address of a program: SHA-256 of its printed IR."""
-    return hashlib.sha256(format_program(program).encode("utf-8")).hexdigest()
+    """Content address of a program: SHA-256 of its printed IR.
+
+    The printer does not show attached Python kernels, so their
+    ``module:qualname`` names are appended: two programs that differ
+    only in a callable never share a cached kernel.
+    """
+    text = format_program(program)
+    for i, s in enumerate(walk(program.body)):
+        fn = getattr(s, "kernel", None)
+        if fn is not None:
+            text += (
+                f"\nkernel @{i}: {getattr(fn, '__module__', None)}:"
+                f"{getattr(fn, '__qualname__', type(fn).__qualname__)}"
+            )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def resolve_kernel(module: str, qualname: str):
+    """Import *module* and look up the dotted *qualname* in it."""
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def kernel_ref(fn) -> tuple[str, str]:
+    """``(module, qualname)`` of a comp-block kernel the generated code
+    can re-import; :class:`UnsupportedConstructError` says why not."""
+    module = getattr(fn, "__module__", None)
+    qualname = getattr(fn, "__qualname__", None)
+    if not isinstance(module, str) or not isinstance(qualname, str):
+        raise UnsupportedConstructError(
+            f"kernel callable {fn!r} is not a module-level function"
+        )
+    where = f"{module}:{qualname}"
+    if "<locals>" in qualname or "<lambda>" in qualname:
+        raise UnsupportedConstructError(
+            f"kernel callable {where} is a lambda or closure (not importable)"
+        )
+    try:
+        found = resolve_kernel(module, qualname)
+    except (ImportError, AttributeError) as exc:
+        raise UnsupportedConstructError(
+            f"kernel callable {where} cannot be imported: {exc}"
+        ) from exc
+    if found is not fn:
+        raise UnsupportedConstructError(
+            f"kernel callable {where} does not import as the same object"
+        )
+    return module, qualname
 
 
 @dataclass
@@ -427,6 +490,25 @@ class _Lowerer:
         for stmt in walk(program.body):
             for name in stmt.writes():
                 self._write_counts[name] = self._write_counts.get(name, 0) + 1
+        # Comp-block kernel callables: the scalars an env dict must mirror
+        # and, per call site, the ones definitely bound there.
+        self._kernels = [
+            s for s in walk(program.body)
+            if type(s) is CompBlock and s.kernel is not None
+        ]
+        self._kernel_da: dict[int, frozenset[str]] = {}
+        self._kernel_names: dict[int, tuple] = {}  # id(stmt) -> (n, da, maybe)
+        self._scalars: list[str] = []
+        if self._kernels:
+            if self.handle_vars:
+                raise UnsupportedConstructError(
+                    "comp block kernel callables in a program with "
+                    "non-blocking handles"
+                )
+            self._scalars = _scalar_names(program)
+            _definitely_bound(
+                program.body, set(program.params) | set(_BUILTINS), self._kernel_da
+            )
 
     # -- small helpers -----------------------------------------------------
 
@@ -494,6 +576,13 @@ class _Lowerer:
             w.line(f"{_mangle(name)} = inputs[{name!r}]")
         w.line("v_myid = rank")
         w.line("v_P = size")
+        if self._kernels:
+            # the interpreter's env (dict(inputs) plus builtins), kept per
+            # rank so keys a kernel adds persist as they do in the env
+            w.line("_e = dict(inputs)")
+            w.line("_e['myid'] = rank")
+            w.line("_e['P'] = size")
+            w.line("_ka = {}")
         w.line("_wp = wparams")
         w.line("_sz = {}")
         w.line("_tm = {}")
@@ -663,15 +752,13 @@ class _Lowerer:
     # -- individual statements ---------------------------------------------
 
     def _emit_comp(self, w: "_Writer", stmt: CompBlock, mode: str) -> None:
-        if stmt.kernel is not None:
-            raise UnsupportedConstructError(
-                f"comp block {stmt.name!r} carries a Python kernel callable"
-            )
         self._check_expr_reads(stmt.work)
         ws = self._ws_name(stmt.sid)
         w.line(f"_w = {_emit_expr(stmt.work)}")
         w.line("if _w < 0:")
         w.line("    _w = 0")
+        if stmt.kernel is not None:
+            self._emit_kernel_call(w, stmt)
         w.line("if _w > 0:")
         with w.indented():
             w.line(f"if {ws} is None:")
@@ -703,6 +790,47 @@ class _Lowerer:
                     w.line("ev += 1")
                 w.line("else:")
                 w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
+
+    def _emit_kernel_call(self, w: "_Writer", stmt: CompBlock) -> None:
+        """Sync the env dict, call the kernel, reload every variable.
+
+        Definitely bound scalars go through one dict update and one
+        ``itemgetter``; the rest may be unbound here, so each is
+        guarded (an unbound local is absent from the interpreter's env
+        too).  Both generator variants share the emitted helpers.
+        """
+        key = id(stmt)
+        names = self._kernel_names.get(key)
+        if names is None:
+            module, qualname = kernel_ref(stmt.kernel)
+            n = len(self._kernel_names)
+            da = [v for v in self._scalars if v in self._kernel_da[key]]
+            maybe = [v for v in self._scalars if v not in self._kernel_da[key]]
+            names = self._kernel_names[key] = (n, da, maybe)
+            if n == 0:
+                self.helper_lines.append("from operator import itemgetter as _itemgetter")
+                self.helper_lines.append("from repro.kernel.lower import resolve_kernel as _kref")
+            self.helper_lines.append(f"_K{n} = _kref({module!r}, {qualname!r})")
+            if da:
+                self.helper_lines.append(
+                    f"_G{n} = _itemgetter({', '.join(repr(v) for v in da)})"
+                )
+        n, da, maybe = names
+        if da:
+            pairs = ", ".join(f"{v!r}: {_mangle(v)}" for v in da)
+            w.line(f"_e.update({{{pairs}}})")
+        for v in maybe:
+            w.line("try:")
+            w.line(f"    _e[{v!r}] = {_mangle(v)}")
+            w.line("except NameError:")
+            w.line("    pass")
+        w.line(f"_K{n}(_e, _ka)")
+        if da:
+            # a one-name itemgetter returns the value, not a 1-tuple
+            w.line(f"{', '.join(_mangle(v) for v in da)} = _G{n}(_e)")
+        for v in maybe:
+            w.line(f"if {v!r} in _e:")
+            w.line(f"    {_mangle(v)} = _e[{v!r}]")
 
     def _emit_send(self, w: "_Writer", stmt, mode: str, blocking: bool) -> None:
         self._check_expr_reads(stmt.dest, stmt.nbytes)
@@ -897,7 +1025,8 @@ class _Lowerer:
             return self._vec_plans[key]
         plan = None
         if (
-            len(stmt.body) == 1
+            not self._kernels  # a kernel's env must see the loop variable
+            and len(stmt.body) == 1
             and type(stmt.body[0]) is DelayStmt
             and vectorize.batch_safe(stmt.body[0].amount)
         ):
@@ -976,6 +1105,50 @@ class _Lowerer:
         spec = tuple(args)
         self.static_sites.append(f"({n}, _sl{n}, _sh{n}, _sb{n}, {spec!r})")
         return n
+
+
+def _scalar_names(program: Program) -> list[str]:
+    """Every scalar the generated code binds as a local, in a fixed order.
+
+    Buffer names a statement carries are not scalars; handle variables
+    never reach here (programs with kernels and handles fall back).
+    """
+    names = dict.fromkeys(program.params)
+    names.update(dict.fromkeys(_BUILTINS))
+    for s in walk(program.body):
+        if type(s) is CompBlock:
+            # reads_ only documents what a kernel reads; writes_ are
+            # scalars it may bind
+            found = s.work.free_vars() | s.writes_
+        else:
+            found = (s.reads() | s.writes()) - {
+                getattr(s, "array", None), getattr(s, "name", None)
+            }
+        names.update(dict.fromkeys(sorted(found)))
+    return list(names)
+
+
+def _definitely_bound(stmts, bound: set[str], sites: dict[int, frozenset[str]]) -> set[str]:
+    """Scalars bound on every path through *stmts*; records the set at
+    each kernel comp block into *sites* (keyed by ``id``)."""
+    bound = set(bound)
+    for s in stmts:
+        ty = type(s)
+        if ty is Assign:
+            bound.add(s.var)
+        elif ty is For:
+            _definitely_bound(s.body, bound | {s.var}, sites)  # may run zero times
+        elif ty is If:
+            bound = _definitely_bound(s.then, bound, sites) & _definitely_bound(
+                s.orelse, bound, sites
+            )
+        elif ty is CollectiveStmt and s.result_var is not None:
+            bound.add(s.result_var)
+        elif ty is ReadParams:
+            bound.update(s.names)
+        elif ty is CompBlock and s.kernel is not None:
+            sites[id(s)] = frozenset(bound)
+    return bound
 
 
 class _Writer:

@@ -1,9 +1,9 @@
 """Flat event loop for compiled programs (the fast half of ``repro.kernel``).
 
-When a run needs none of the engine's optional machinery — no faults, no
-timeouts, no budget, no trace, and every observability singleton off —
-the generated ``fast_gen`` per-rank state machines can be driven by a
-much flatter scheduler than the general heap-of-actions engine:
+When a run needs none of the engine's fault, timeout, trace, MEASURED
+or checkpoint machinery, the generated ``fast_gen`` per-rank state
+machines can be driven by a much flatter scheduler than the general
+heap-of-actions engine:
 
 * the priority queue holds **distinct timestamps only**; all events at
   one virtual time live in a FIFO bucket list, so the heap shrinks by
@@ -16,18 +16,36 @@ much flatter scheduler than the general heap-of-actions engine:
   plain lists, mirroring :class:`repro.sim.engine.Simulator`'s handlers
   line for line so every float accumulates in the same order.
 
+Each bucket entry is one engine heap event, so the features campaigns
+switch on run inside the same loop as checks at bucket boundaries, set
+up once per bucket and never per entry when disarmed:
+
+* watchdog budgets — ``max_events`` caps the bucket's iteration at the
+  engine's tripping event, ``max_virtual_time`` trips when a bucket past
+  the limit is popped (the engine trips on that bucket's first event),
+  the wall clock is read once per bucket;
+* :data:`~repro.sim.heartbeat.HEARTBEAT` ticks with the running count;
+* :data:`~repro.sim.flightrec.FLIGHT` records every entry, in the
+  engine's ``(t, rank, kind)`` order, through a wrapping iterator.
+
 The produced :class:`~repro.sim.engine.SimResult` — stats, memory
-report, deadlock diagnosis — is byte-identical to the interpreted
-engine's by construction; the differential fuzz harness holds it to
-that.
+report, deadlock diagnosis, budget partial stats and flight dumps — is
+byte-identical to the interpreted engine's by construction; the
+differential fuzz harness holds it to that.
 """
 
 from __future__ import annotations
 
+import time
 from heapq import heappop, heappush
+from inspect import getgeneratorlocals
+from itertools import islice
 
 from ..mpi.matching import ANY_SOURCE, ANY_TAG
 from ..sim.faults import DeadlockReport, WaitInfo
+from ..sim.flightrec import FLIGHT, deadlock_report_to_dict
+from ..sim.heartbeat import HEARTBEAT
+from ..sim.stats import ProcessStats, SimStats
 from . import vectorize
 
 __all__ = ["run_fast"]
@@ -42,7 +60,6 @@ def run_fast(sim):
         DeadlockError,
         SimResult,
     )
-    from ..sim.stats import ProcessStats, SimStats
 
     kernel = sim._kernel
     inputs, wparams = sim._kernel_args
@@ -60,7 +77,19 @@ def run_fast(sim):
     EAGER = sim._eager_limit
     allocate = sim.memory.allocate
     free = sim.memory.free
-    world_key = tuple(range(nprocs))
+    budget = sim._budget
+    ring, seen = FLIGHT.ring() if FLIGHT.enabled else (None, None)
+    hb = HEARTBEAT if HEARTBEAT.enabled else None
+    # per-bucket feature checks; a bare run skips them with one test
+    guarded = budget is not None or ring is not None or hb is not None
+    max_events = max_vt = max_wall = None
+    if budget is not None:
+        max_events = budget.max_events
+        max_vt = budget.max_virtual_time
+        max_wall = budget.max_wall_seconds
+        wall_start = budget.start()
+    if ring is not None:
+        FLIGHT.note(mode=sim.mode.value, nprocs=nprocs, seed=sim.seed)
 
     # rank-shared stat cells the generated code flushes into around each
     # yield: [clock, events, compute_time, comm_time, host_cost].  Indexes
@@ -118,10 +147,23 @@ def run_fast(sim):
         else:
             b.append(code)
 
+    # the flat state a budget trip snapshots (one bundle: no closure
+    # cells on the hot lists)
+    flat = (sim, st, done, finish, gens, msent, mrecv, bsent, ncoll)
+
     # Prime every generator (engine: one initial resume per rank at t=0,
     # rank order; each comm event lands at the yielding rank's clock —
     # the generator advances it inline through compute/delay).
-    for rank in range(nprocs):
+    primed = nprocs if max_events is None else min(nprocs, max_events)
+    for rank in range(primed):
+        if guarded:
+            if max_wall is not None:
+                wall = time.perf_counter() - wall_start
+                if wall > max_wall:
+                    raise _exceeded(flat, rank + 1, "wall_time", max_wall, wall, 0.0)
+            if ring is not None:
+                ring((0.0, rank, "resume"))
+                seen[0] += 1
         value = None
         step = steps[rank]
         while True:
@@ -138,6 +180,11 @@ def run_fast(sim):
                 break
             allocate(rank, op[2], op[3])
             value = op[1]
+    events = primed  # entries processed (the engine's heap pops); guarded runs only
+    if primed < nprocs:
+        raise _exceeded(flat, events + 1, "events", max_events, events + 1, 0.0)
+    if hb is not None and events >= hb.next_events:
+        hb.tick(events, 0.0)
 
     def complete_handle(rank: int, hid: int, ready_time: float) -> None:
         hs = handles[rank]
@@ -200,7 +247,25 @@ def run_fast(sim):
         # list iterator observes appends — exactly the engine's FIFO
         # order among equal timestamps
         bucket = buckets[t]
-        for code in bucket:
+        entries = bucket
+        if guarded:
+            if hb is not None and events >= hb.next_events:
+                hb.tick(events, t)
+            if budget is not None:
+                # the engine's note_event order: events, virtual time, wall
+                if max_events is not None and events >= max_events:
+                    raise _exceeded(flat, events + 1, "events", max_events, events + 1, t)
+                if max_vt is not None and t > max_vt:
+                    raise _exceeded(flat, events + 1, "virtual_time", max_vt, t, t)
+                if max_wall is not None:
+                    wall = time.perf_counter() - wall_start
+                    if wall > max_wall:
+                        raise _exceeded(flat, events + 1, "wall_time", max_wall, wall, t)
+            if ring is not None:
+                entries = _recorded(bucket, t, ring, seen, pend)
+            if max_events is not None:
+                entries = islice(entries, max_events - events)
+        for code in entries:
             rank = code >> 2
             kind = code & 3
             if kind != 1:
@@ -486,23 +551,42 @@ def run_fast(sim):
                         ncoll[crank] += 1
                         rv[crank] = results[crank]
                         append(crank * 4 + 2)
+        if guarded:
+            n = len(bucket)
+            if max_events is not None and events + n > max_events:
+                # the cap stopped short of the event that trips the engine
+                events = max_events
+                raise _exceeded(flat, events + 1, "events", max_events, events + 1, t)
+            events += n
         del buckets[t]
 
+    if budget is not None:
+        budget.events = events
     remaining = [r for r in range(nprocs) if not done[r]]
     if remaining:
         report = _deadlock_report(
             nprocs, remaining, blocked, st, q_msgs, q_recvs, colls,
             waiting, wait_time, handles,
         )
+        exc = DeadlockError(report.format(), report=report)
+        if ring is not None:
+            exc.flight = FLIGHT.dump(
+                wait_chain=deadlock_report_to_dict(report),
+                budget=sim._budget_snapshot(),
+                error=report.summary(),
+            )
         for r in remaining:
             try:
                 gens[r].close()
             except Exception:
                 pass  # a raising close() must not mask the deadlock itself
-        raise DeadlockError(report.format(), report=report)
+        raise exc
     leftover = [r for r in range(nprocs) if q_msgs[r]]
     if leftover:
-        raise DeadlockError(f"unconsumed messages at ranks {leftover}")
+        exc = DeadlockError(f"unconsumed messages at ranks {leftover}")
+        if ring is not None:
+            exc.flight = FLIGHT.dump(budget=sim._budget_snapshot(), error=str(exc))
+        raise exc
 
     procs = []
     for r in range(nprocs):
@@ -525,6 +609,44 @@ def run_fast(sim):
 
 
 _BLOCKED = {1: "send", 2: "recv", 3: "isend", 4: "irecv", 5: "wait", 6: "collective"}
+
+
+def _exceeded(flat, counted, kind, limit, observed, t):
+    """The engine's :class:`~repro.sim.budget.BudgetExceededError` at event *counted*.
+
+    The engine counts the tripping event before raising, and holds
+    per-rank stats flushed up to the previous one; suspended generators
+    keep their event count and compute time in locals, read here.
+    """
+    sim, st, done, finish, gens, msent, mrecv, bsent, ncoll = flat
+    procs = []
+    for r in range(sim.nprocs):
+        row = st[r]
+        ev, ct = row[1], row[2]
+        if not done[r]:
+            local = getgeneratorlocals(gens[r])
+            ev, ct = local.get("ev", 0), local.get("ct", 0.0)
+        procs.append(ProcessStats(
+            rank=r, compute_time=ct, comm_time=row[3], finish_time=finish[r],
+            messages_sent=msent[r], messages_received=mrecv[r],
+            bytes_sent=bsent[r], collectives=ncoll[r], events=ev, host_cost=row[4],
+        ))
+    return sim._budget_error(
+        kind, float(limit), float(observed), t, counted, SimStats(procs)
+    )
+
+
+def _recorded(bucket: list, t: float, append, seen: list, pend: list):
+    """Iterate *bucket*, flight-recording each entry as it is processed.
+
+    A comm entry's kind is its rank's pending op, set when the entry was
+    pushed and unchanged until the entry runs.
+    """
+    for code in bucket:
+        rank = code >> 2
+        append((t, rank, _BLOCKED[pend[rank][0]] if code & 3 == 1 else "resume"))
+        seen[0] += 1
+        yield code
 
 
 def _collective_results(state: list, mismatch_error) -> dict:

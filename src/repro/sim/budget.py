@@ -95,9 +95,11 @@ class BudgetGuard:
             or self.max_wall_seconds is not None
         )
 
-    def start(self) -> None:
-        """Arm the wall clock at the beginning of the run."""
+    def start(self) -> float:
+        """Arm the wall clock at the beginning of the run; returns the
+        ``perf_counter`` reading event loops measure the wall budget from."""
         self._wall_start = time.perf_counter()
+        return self._wall_start
 
     def snapshot(self, virtual_time: float | None = None) -> dict:
         """JSON-safe budget state (flight-recorder dumps, capsules)."""

@@ -36,6 +36,7 @@ import math
 import os
 from heapq import heappop, heappush
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -385,31 +386,15 @@ class Simulator:
                 self.machine.name, self.nprocs, self.seed,
                 "yes" if self._fault_state is not None else "no", self._default_timeout,
             )
-        # observability dispatch, decided once per run: with every layer
-        # disabled (the default) the kernel runs with zero tracing,
-        # metrics, flight-recorder, heartbeat or checkpoint indirection
-        # anywhere — not even no-op span objects or ring-buffer appends
-        if not (TRACER.enabled or METRICS.enabled or FLIGHT.enabled
-                or HEARTBEAT.enabled or CHECKPOINT.enabled):
-            if (
-                self._kernel is not None
-                and self._fault_state is None
-                and self._default_timeout is None
-                and self._budget is None
-                and self.trace is None
-                and self.mode is not ExecMode.MEASURED
-            ):
-                # flat compiled path: no engine feature in play, so the
-                # bucket-queue runtime can drive the fast generators
-                if self._ran:
-                    raise RuntimeError("a Simulator instance is single-use; build a new one")
-                self._ran = True
-                from ..kernel.runtime import run_fast
-
-                return run_fast(self)
-            return self._run()
-        with TRACER.span("sim.run", mode=self.mode.value, nprocs=self.nprocs) as span:
-            result = self._run()
+        # dispatch, decided once per run: the compiled fast path runs
+        # budgets, heartbeats and flight recording itself; with tracing
+        # and metrics off (the default) no span object is even built
+        reason = self.engine_reason()
+        if not (TRACER.enabled or METRICS.enabled):
+            return self._execute(reason)
+        attrs = {"path": "engine", "engine_reason": reason} if reason else {"path": "fast"}
+        with TRACER.span("sim.run", mode=self.mode.value, nprocs=self.nprocs, **attrs) as span:
+            result = self._execute(reason)
             span.set_virtual(0.0, result.stats.elapsed)
             span.set(
                 events=result.stats.total_events,
@@ -419,6 +404,36 @@ class Simulator:
         if METRICS.enabled:
             METRICS.record_run(self.mode.value, result.stats)
         return result
+
+    def engine_reason(self) -> str | None:
+        """Why this run needs the engine's event loops, or ``None`` when
+        the compiled fast path (:func:`repro.kernel.runtime.run_fast`)
+        can run it."""
+        if self._kernel is None:
+            if self.backend_fallback_reason is not None:
+                return f"compiled backend fell back: {self.backend_fallback_reason}"
+            return "interpreted backend"
+        if self.mode is ExecMode.MEASURED:
+            return "MEASURED mode (noisy CPU and network models)"
+        if self._fault_state is not None:
+            return "fault plan"
+        if self._default_timeout is not None:
+            return "default_timeout"
+        if self.trace is not None:
+            return "collect_trace"
+        if CHECKPOINT.enabled:
+            return "checkpointing"
+        return None
+
+    def _execute(self, reason: str | None) -> SimResult:
+        if reason is not None:
+            return self._run()
+        if self._ran:
+            raise RuntimeError("a Simulator instance is single-use; build a new one")
+        self._ran = True
+        from ..kernel.runtime import run_fast
+
+        return run_fast(self)
 
     def _run(self) -> SimResult:
         if self._ran:
@@ -432,11 +447,9 @@ class Simulator:
             self._push(0.0, proc.rank, ("resume", None))
         if FLIGHT.enabled:
             FLIGHT.note(mode=self.mode.value, nprocs=self.nprocs, seed=self.seed)
-            self._drain_flight()
-        elif HEARTBEAT.enabled or CHECKPOINT.enabled:
-            self._drain_supervised()
-        elif self._budget is not None:
-            self._drain_budgeted()
+        if (FLIGHT.enabled or HEARTBEAT.enabled or CHECKPOINT.enabled
+                or self._budget is not None):
+            self._drain_observed()
         else:
             self._drain()
         blocked = [p for p in self._procs if not p.done and not p.crashed]
@@ -508,139 +521,103 @@ class Simulator:
             elif not proc.crashed:  # "timeout"
                 self._do_timeout(proc, t, action[1])
 
-    def _drain_budgeted(self) -> None:
-        """The event loop with a per-event watchdog-budget check."""
-        heap = self._heap
-        procs = self._procs
-        budget = self._budget
-        budget.start()
-        while heap:
-            t, _, rank, action = heappop(heap)
-            violation = budget.note_event(t)
-            if violation is not None:
-                kind, limit, observed = violation
-                raise BudgetExceededError(
-                    kind, limit, observed,
-                    stats=SimStats([p.stats for p in procs]),
-                )
-            kind = action[0]
-            proc = procs[rank]
-            if kind == "resume":
-                if not proc.crashed:
-                    self._resume(proc, t, action[1])
-            elif kind == "comm":
-                if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
-            elif kind == "crash":
-                self._do_crash(proc, t)
-            elif not proc.crashed:  # "timeout"
-                self._do_timeout(proc, t, action[1])
+    def _drain_observed(self) -> None:
+        """The event loop with budgets, heartbeat / checkpoint ticks or
+        flight recording armed (any combination).
 
-    def _drain_supervised(self) -> None:
-        """The event loop with heartbeat / checkpoint ticks (and budgets).
-
-        Only reachable when :data:`HEARTBEAT` or :data:`CHECKPOINT` is
-        enabled (and :data:`FLIGHT` is not — that path carries its own
-        ticks); the bare loops above never pay for the per-event tick.
-        A tick is two integer compares when nothing is due, so
-        supervision stays cheap enough to leave always-on in campaign
-        workers.
+        Only reachable when one of them is; the bare :meth:`_drain`
+        never pays for the checks.  When nothing is due each armed
+        feature costs a compare per event: budget limits are tested
+        inline, the heartbeat is gated on its next due count, and the
+        flight ring is appended directly.  A tripped budget raises
+        :class:`BudgetExceededError` carrying the partial stats (and the
+        flight dump, so the black box survives the crash it explains).
         """
         heap = self._heap
         procs = self._procs
+        resume = self._resume
+        do_send = self._do_send
+        do_recv = self._do_recv
         budget = self._budget
+        max_events = max_vt = max_wall = None
         if budget is not None:
-            budget.start()
+            wall_start = budget.start()
+            max_events = budget.max_events
+            max_vt = budget.max_virtual_time
+            max_wall = budget.max_wall_seconds
         hb = HEARTBEAT if HEARTBEAT.enabled else None
         ck = CHECKPOINT if CHECKPOINT.enabled else None
         if ck is not None:
             ck.bind(self._stats_snapshot, self._rng_state)
+        append, seen = FLIGHT.ring() if FLIGHT.enabled else (None, None)
         events = 0
         while heap:
             t, _, rank, action = heappop(heap)
             events += 1
             if budget is not None:
-                violation = budget.note_event(t)
-                if violation is not None:
-                    kind, limit, observed = violation
-                    raise BudgetExceededError(
-                        kind, limit, observed,
-                        stats=SimStats([p.stats for p in procs]),
+                # BudgetGuard.note_event, inline: events, virtual time, wall
+                trip = None
+                if max_events is not None and events > max_events:
+                    trip = ("events", float(max_events), float(events))
+                elif max_vt is not None and t > max_vt:
+                    trip = ("virtual_time", max_vt, t)
+                elif max_wall is not None:
+                    wall = perf_counter() - wall_start
+                    if wall > max_wall:
+                        trip = ("wall_time", max_wall, wall)
+                if trip is not None:
+                    raise self._budget_error(
+                        *trip, t, events, SimStats([p.stats for p in procs])
                     )
-            if hb is not None:
+            if hb is not None and events >= hb.next_events:
                 hb.tick(events, t)
             if ck is not None:
                 ck.tick(events, t)
             kind = action[0]
             proc = procs[rank]
+            if append is not None:
+                # "resume" / "crash" / "timeout" label themselves; a comm
+                # event is labelled by its request type
+                label = kind
+                if kind == "comm":
+                    ty = type(action[1])
+                    label = _BLOCK_NAME.get(ty) or ty.__name__.lower()
+                append((t, rank, label))
+                seen[0] += 1
             if kind == "resume":
                 if not proc.crashed:
-                    self._resume(proc, t, action[1])
+                    resume(proc, t, action[1])
             elif kind == "comm":
                 if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
+                    # the common blocking pair inline, as in _drain
+                    req = action[1]
+                    ty = type(req)
+                    if ty is Send:
+                        do_send(proc, t, req)
+                    elif ty is Recv:
+                        do_recv(proc, t, req)
+                    else:
+                        self._do_comm(proc, t, req)
             elif kind == "crash":
                 self._do_crash(proc, t)
             elif not proc.crashed:  # "timeout"
                 self._do_timeout(proc, t, action[1])
-
-    def _drain_flight(self) -> None:
-        """The event loop with flight recording (and budgets, if set).
-
-        Only reachable when :data:`FLIGHT` is enabled — the unrecorded
-        loops above never pay for the ring-buffer append.  A tripped
-        budget raises :class:`BudgetExceededError` with the dump
-        attached, so the black box survives the crash it explains.
-        Heartbeat / checkpoint ticks ride along when armed (telemetry
-        campaigns run the flight loop, supervised or not).
-        """
-        heap = self._heap
-        procs = self._procs
-        budget = self._budget
         if budget is not None:
-            budget.start()
-        hb = HEARTBEAT if HEARTBEAT.enabled else None
-        ck = CHECKPOINT if CHECKPOINT.enabled else None
-        if ck is not None:
-            ck.bind(self._stats_snapshot, self._rng_state)
-        events = 0
-        record = FLIGHT.record
-        while heap:
-            t, _, rank, action = heappop(heap)
-            events += 1
-            if hb is not None:
-                hb.tick(events, t)
-            if ck is not None:
-                ck.tick(events, t)
-            if budget is not None:
-                violation = budget.note_event(t)
-                if violation is not None:
-                    kind, limit, observed = violation
-                    exc = BudgetExceededError(
-                        kind, limit, observed,
-                        stats=SimStats([p.stats for p in procs]),
-                    )
-                    exc.flight = FLIGHT.dump(
-                        budget=budget.snapshot(virtual_time=t), error=str(exc)
-                    )
-                    raise exc
-            kind = action[0]
-            proc = procs[rank]
-            if kind == "resume":
-                record(t, rank, "resume")
-                if not proc.crashed:
-                    self._resume(proc, t, action[1])
-            elif kind == "comm":
-                record(t, rank, type(action[1]).__name__.lower())
-                if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
-            elif kind == "crash":
-                record(t, rank, "crash")
-                self._do_crash(proc, t)
-            else:  # "timeout"
-                record(t, rank, "timeout")
-                if not proc.crashed:
-                    self._do_timeout(proc, t, action[1])
+            budget.events = events
+
+    def _budget_error(
+        self, kind: str, limit: float, observed: float, t: float, events: int,
+        stats: SimStats,
+    ) -> BudgetExceededError:
+        """The error for a budget tripped at event *events* (virtual time
+        *t*), with the flight dump attached when the recorder is armed."""
+        self._budget.events = events
+        exc = BudgetExceededError(kind, limit, observed, stats=stats)
+        if FLIGHT.enabled:
+            exc.flight = FLIGHT.dump(
+                budget=self._budget.snapshot(virtual_time=t), error=str(exc)
+            )
+        return exc
 
     def _budget_snapshot(self) -> dict | None:
         """The budget guard's state for dumps (None without budgets)."""

@@ -12,10 +12,12 @@ Cost contract (the same one the tracer and metrics registry hold to):
 
 * **Disabled (the default), the recorder adds zero hot-loop calls.**
   :meth:`repro.sim.Simulator.run` tests ``FLIGHT.enabled`` once per run
-  and dispatches to the unrecorded event loop; the recorded variant is
-  a separate drain function that only exists on the enabled path.
+  and dispatches to the unrecorded event loop; recording happens only
+  in the armed loops (the engine's ``_drain_observed``, and a wrapper
+  around each timestamp bucket on the compiled fast path).
 * **Enabled, the ring is bounded.**  Recording is one ``deque.append``
-  of a small tuple per event; memory is ``O(capacity)`` regardless of
+  of a small tuple per event (the event loops append through
+  :meth:`FlightRecorder.ring`); memory is ``O(capacity)`` regardless of
   run length, and events evicted from the ring are counted, not kept.
 
 Dumps are plain dicts (JSON-safe) so they can ride inside campaign
@@ -54,7 +56,7 @@ class FlightRecorder:
         self.enabled = False
         self.capacity = capacity
         self._events: deque[tuple[float, int, str]] = deque(maxlen=capacity)
-        self._seen = 0
+        self._count = [0]  # events seen; a cell event loops bump in place
         self._meta: dict = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -73,7 +75,7 @@ class FlightRecorder:
 
     def reset(self) -> None:
         self._events.clear()
-        self._seen = 0
+        self._count[0] = 0
         self._meta = {}
 
     # -- recording (enabled path only) ---------------------------------------
@@ -83,8 +85,14 @@ class FlightRecorder:
 
     def record(self, t: float, rank: int, kind: str) -> None:
         """Record one kernel event; O(1), bounded by the ring capacity."""
-        self._seen += 1
+        self._count[0] += 1
         self._events.append((t, rank, kind))
+
+    def ring(self):
+        """``(append, count)`` for event loops that inline :meth:`record`:
+        per event they call ``append((t, rank, kind))`` and bump
+        ``count[0]``, with no method call in between."""
+        return self._events.append, self._count
 
     # -- the dump -------------------------------------------------------------
     @property
@@ -94,7 +102,7 @@ class FlightRecorder:
     @property
     def events_seen(self) -> int:
         """Total events recorded since the last reset (evicted included)."""
-        return self._seen
+        return self._count[0]
 
     def dump(self, wait_chain: dict | None = None, budget: dict | None = None,
              error: str | None = None) -> dict:
@@ -109,8 +117,8 @@ class FlightRecorder:
         doc: dict = {
             "format": DUMP_FORMAT,
             "capacity": self.capacity,
-            "events_seen": self._seen,
-            "events_dropped": max(0, self._seen - len(self._events)),
+            "events_seen": self._count[0],
+            "events_dropped": max(0, self._count[0] - len(self._events)),
             "events": [[t, rank, kind] for t, rank, kind in self._events],
         }
         if self._meta:

@@ -7,8 +7,10 @@ module the only defence was the coarse wall-clock budget: the parent
 waited out the full ``max_wall_seconds`` before learning anything.
 
 The :class:`HeartbeatEmitter` gives the kernel a pulse.  While a run
-drains its event heap, the supervised loop calls :meth:`tick` once per
-event; every *interval_events* events (and at most once per
+drains its event heap, the event loop calls :meth:`tick` whenever the
+running event count reaches :attr:`HeartbeatEmitter.next_events` (the
+engine checks per event, the compiled fast path per timestamp bucket);
+every *interval_events* events (and at most once per
 *min_interval_s* wall seconds) the emitter hands a small **cursor**
 dict — event count, virtual time, wall time, plus a bounded tail of
 the flight-recorder ring when that is armed — to a sink callable.  In
@@ -23,10 +25,11 @@ Cost contract (the same one TRACER / METRICS / FLIGHT hold to):
 
 * **Disabled (the default), heartbeats add zero hot-loop calls.**
   :meth:`repro.sim.Simulator.run` tests ``HEARTBEAT.enabled`` once per
-  run and dispatches to the bare event loop; the ticking variant is a
-  separate drain function that only exists on the enabled path.
-* **Enabled, a tick is two integer compares** in the common case (the
-  event-stride gate, then the wall-clock throttle); actually *emitting*
+  run and dispatches to the bare event loop; the ticking checks only
+  exist on the enabled path.
+* **Enabled, a tick is an integer compare** in the common case (the
+  event-stride gate, inlined by the loops, then the wall-clock
+  throttle); actually *emitting*
   a cursor is bounded by ``min_interval_s``, so sink traffic is a few
   messages per second regardless of event rate.
 
@@ -60,8 +63,7 @@ class HeartbeatEmitter:
     """Throttled liveness-cursor emitter; use the shared :data:`HEARTBEAT`.
 
     The emitter is configured per run (sink, stride, throttle, metadata)
-    and consulted by the kernel's supervised drain loop via
-    :meth:`tick`.  Cursors are JSON-safe dicts::
+    and consulted by the event loops via :meth:`tick`.  Cursors are JSON-safe dicts::
 
         {"format": 1, "run_id": ..., "events": N, "virtual_time": t,
          "wall_seconds": w, "flight_tail": [[t, rank, kind], ...]}
@@ -73,7 +75,9 @@ class HeartbeatEmitter:
         self.min_interval_s = DEFAULT_MIN_INTERVAL_S
         self._sink = None
         self._meta: dict = {}
-        self._next_events = 0
+        # event count at which the next tick is due; event loops gate
+        # on it inline so a tick that is not due costs no call
+        self.next_events = 0
         self._last_wall = 0.0
         self._t0 = 0.0
         self._emitted = 0
@@ -105,7 +109,7 @@ class HeartbeatEmitter:
         now = time.monotonic()
         self._t0 = now
         self._last_wall = now
-        self._next_events = self.interval_events
+        self.next_events = self.interval_events
         self._emitted = 0
         self.enabled = True
 
@@ -120,10 +124,10 @@ class HeartbeatEmitter:
     # -- the kernel-facing tick (enabled path only) --------------------------
     def tick(self, events: int, t: float) -> None:
         """Maybe emit a cursor; two compares when not due."""
-        if events < self._next_events:
+        if events < self.next_events:
             return
         now = time.monotonic()
-        self._next_events = events + self.interval_events
+        self.next_events = events + self.interval_events
         if now - self._last_wall < self.min_interval_s:
             return
         self._last_wall = now

@@ -907,7 +907,9 @@ class CampaignRunner:
                 else:
                     outcome, error, bkind, fdump = "ok", None, None, None
                     stats = result.stats.to_dict()
-                    elapsed = result.elapsed
+                    # a plain float: a NumPy scalar would print differently
+                    # in results.csv than the value read back on --resume
+                    elapsed = float(result.elapsed)
                     span.set_virtual(0.0, elapsed)
                 span.set(outcome=outcome)
             if mismatch is not None and not replay_retried:

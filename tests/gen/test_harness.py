@@ -86,3 +86,26 @@ class TestFaultyClassification:
         verdict = classify_faulty(dishonest, CFG)
         assert not verdict.ok
         assert verdict.failure == "misclassified"
+
+
+class TestCompiledBackend:
+    def test_generated_programs_agree_armed(self):
+        cfg = DiffConfig(backend="compiled")
+        for seed in range(4):
+            verdict = check_program(generate_program(seed), cfg)
+            assert verdict.ok, f"seed {seed}: {verdict.failure}: {verdict.detail}"
+
+    def test_armed_divergence_detected(self, monkeypatch):
+        # a fast path that mislabels its flight records must be caught
+        import repro.kernel.runtime as runtime
+
+        real = runtime._recorded
+
+        def mislabelled(bucket, t, append, seen, pend):
+            yield from real(
+                bucket, t, lambda rec: append((rec[0], rec[1], "?")), seen, pend)
+
+        monkeypatch.setattr(runtime, "_recorded", mislabelled)
+        verdict = check_program(generate_program(0), DiffConfig(backend="compiled"))
+        assert verdict.failure == "backend_divergence"
+        assert "flight recorder armed" in verdict.detail

@@ -91,3 +91,24 @@ class TestFullMachineFit:
         a = Simulator(4, make_factory(build_tomcatv(), inputs), IBM_SP, mode=ExecMode.DE).run()
         b = Simulator(4, make_factory(build_tomcatv(), inputs), fitted, mode=ExecMode.DE).run()
         assert b.elapsed == pytest.approx(a.elapsed, rel=0.25)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported lazily by the one fit that needs it: a fresh
+    ``import repro.cli`` (CLI start-up) must not load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys, repro.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

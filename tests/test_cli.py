@@ -336,6 +336,12 @@ class TestProfileCommand:
         assert TRACER.enabled is False
         assert METRICS.enabled is False
 
+    def test_auto_fallback_names_its_reason(self, capsys):
+        assert main(["profile", "nas_sp", "--nprocs", "4", "--backend", "auto",
+                     "--set", "nx=12", "--set", "niter=1"]) == 0
+        out = capsys.readouterr().out
+        assert "auto fell back: array 'cell_size_x' is materialized" in out
+
     def test_am_mode(self, capsys):
         assert main(["profile", "tomcatv", "--nprocs", "4", "--mode", "am",
                      "--calib-procs", "4", "--set", "n=64", "--set", "itmax=1"]) == 0

@@ -190,6 +190,22 @@ class TestKillAndResume:
             == (tmp_path / "ref" / RESULTS_NAME).read_bytes()
         )
 
+    def test_resume_rewrites_numpy_elapsed_identically(self, tmp_path):
+        # NAS SP's measured elapsed is computed in NumPy; results.csv must
+        # print the same plain float fresh as after --resume (which reads
+        # the value back from the JSON journal)
+        grid = {"name": "sp", "machine": "testing", "app": "nas_sp",
+                "modes": ["measured", "de"], "nprocs": [4],
+                "inputs": {"nx": 12, "niter": 1}}
+        _, fresh = run_campaign(tmp_path, grid=grid, sub="sp")
+        assert fresh.complete and fresh.outcomes["ok"] == 2
+        first = (tmp_path / "sp" / RESULTS_NAME).read_bytes()
+        _, resumed = run_campaign(tmp_path, grid=grid, sub="sp", resume=True)
+        assert resumed.complete and resumed.skipped == 2
+        again = (tmp_path / "sp" / RESULTS_NAME).read_bytes()
+        assert b"np.float64" not in first
+        assert again == first
+
     def test_resume_after_truncated_campaign_journal(self, tmp_path):
         # simulate a harder crash: journal cut back to header + first record
         _, _ = run_campaign(tmp_path, sub="cut")
