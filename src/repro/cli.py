@@ -634,8 +634,6 @@ def cmd_campaign(args) -> int:
             config.retries = args.retries
         # supervision knobs are execution policy — they never feed the
         # config hash, so overriding them on resume is always safe
-        if args.no_supervise:
-            config.supervise = False
         if args.heartbeat_timeout is not None:
             config.heartbeat_timeout = args.heartbeat_timeout
         if args.poison_threshold is not None:
@@ -687,8 +685,6 @@ def cmd_campaign(args) -> int:
             hint.append(f"--jobs {args.jobs}")
         if args.no_telemetry:
             hint.append("--no-telemetry")
-        if args.no_supervise:
-            hint.append("--no-supervise")
         if args.heartbeat_timeout is not None:
             hint.append(f"--heartbeat-timeout {args.heartbeat_timeout:g}")
         if args.poison_threshold is not None:
@@ -1118,7 +1114,7 @@ def cmd_profile(args) -> int:
 
     backend_lines = []
     if args.backend in ("compiled", "auto"):
-        # One untraced run with observability off, so its wave/cache
+        # One untraced run with observability off, so its cache
         # counters (reset first) describe exactly this profile and its
         # time is the run's alone.
         import time as _time
@@ -1141,8 +1137,6 @@ def cmd_profile(args) -> int:
             f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "
             f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es), "
             f"{ks['warm_loads']} warm load(s)",
-            f"  vectorized delay waves: {ks['waves']} "
-            f"({ks['vector_delays']} delays batched, {ks['static_batches']} static site(s))",
             f"  fast run: {fast.stats.total_events} events in {fast_wall:.3f} s wall "
             f"({fast.stats.total_events / fast_wall:,.0f} events/s)",
         ]
@@ -1327,10 +1321,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip per-run telemetry capsules and the merged "
                            "Perfetto timeline (telemetry.jsonl, "
                            "campaign.perfetto.json)")
-    camp.add_argument("--no-supervise", action="store_true",
-                      help="use the bare process pool instead of the "
-                           "supervised runtime (no heartbeats, hang "
-                           "detection, or poison quarantine)")
     camp.add_argument("--heartbeat-timeout", type=_positive_float, default=None,
                       metavar="SECONDS",
                       help="kill a worker whose run has not emitted a "

@@ -5,15 +5,13 @@ Python module (content-addressed by the SHA-256 of its printed IR) with
 two entry points: a request-yielding generator byte-compatible with the
 interpreter, and a flat fast-mode state machine consumed by
 ``repro.kernel.runtime``'s bucket-queue event loop.
-``repro.kernel.vectorize`` batch-evaluates AM ``delay()`` amounts in
-NumPy — per loop entry, or across all ranks at once for SPMD sites
-fixed at program start.
 
 Select it per run with ``Simulator(..., backend="compiled")`` (or
 ``"auto"``, which falls back per-program on unsupported constructs).
 """
 
 from .lower import (
+    KERNEL_ABI,
     CompiledKernel,
     UnsupportedConstructError,
     cache_stats,
@@ -29,6 +27,7 @@ from .lower import (
 from .runtime import run_fast
 
 __all__ = [
+    "KERNEL_ABI",
     "CompiledKernel",
     "UnsupportedConstructError",
     "cache_stats",

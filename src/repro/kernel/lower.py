@@ -13,7 +13,7 @@ the SHA-256 of its printed IR — with two entry points:
     budgets, supervision, MEASURED mode) works unchanged and the results
     are byte-identical by construction.
 
-``fast_gen(rank, size, inputs, wparams, rt, st, wv)``
+``fast_gen(rank, size, inputs, wparams, rt, st)``
     The perf variant consumed by :mod:`repro.kernel.runtime`: compute,
     delay and timer requests are folded into inline clock arithmetic and
     only communication points yield (small tuples, not request objects).
@@ -30,10 +30,10 @@ Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
 falls back to the interpreter for that program (with a logged reason).
 
-Delay loops whose amount uses only batch-safe arithmetic additionally get
-a NumPy wave helper (see :mod:`repro.kernel.vectorize`); loops whose
-bounds and amounts are fixed at program start are precomputed for **all
-ranks in one 2-D batch** before the run starts (the SPMD case).
+Every generated module carries ``KERNEL_ABI``, the version of the
+protocol between the generated code and its callers (entry-point
+signatures, yield tuples, shared-state cells).  A stored module with any
+other value is refused and re-lowered.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from ..symbolic.expr import (
     Var,
 )
 from ..symbolic.extended import Cond, Sum
-from . import vectorize
 
 __all__ = [
     "UnsupportedConstructError",
@@ -97,6 +96,7 @@ __all__ = [
     "cached_kernels",
     "kernel_ref",
     "resolve_kernel",
+    "KERNEL_ABI",
 ]
 
 log = get_logger("kernel.lower")
@@ -105,6 +105,11 @@ log = get_logger("kernel.lower")
 class UnsupportedConstructError(Exception):
     """The program uses a construct the compiled backend cannot reproduce."""
 
+
+# Version of the generated-code protocol: bump it whenever the signature
+# of request_gen/fast_gen, the fast yield tuples or the _rt/_st layout
+# change, so warm kernels written by an older lowerer are re-lowered.
+KERNEL_ABI = 1
 
 # Builtin names the interpreter injects into every rank's environment.
 _BUILTINS = ("myid", "P")
@@ -150,7 +155,6 @@ def cache_stats() -> dict:
     out = dict(_STATS)
     out["cached_programs"] = len(_CACHE)
     out["fallback_reason"] = _LAST_FALLBACK[0]
-    out.update(vectorize.wave_stats())
     return out
 
 
@@ -159,7 +163,6 @@ def clear_cache() -> None:
     _LAST_FALLBACK[0] = None
     for key in _STATS:
         _STATS[key] = 0.0 if key == "lowering_seconds" else 0
-    vectorize.reset_wave_stats()
 
 
 def cached_kernels() -> dict[str, "CompiledKernel"]:
@@ -227,8 +230,6 @@ class CompiledKernel:
     fingerprint: str
     source: str
     lowering_seconds: float
-    vector_sites: int
-    static_sites: int
     _ns: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -238,10 +239,6 @@ class CompiledKernel:
     @property
     def fast_gen(self):
         return self._ns["fast_gen"]
-
-    @property
-    def static_wave_sites(self):
-        return self._ns.get("STATIC_SITES", ())
 
 
 def _execute_source(source: str, name: str, fingerprint: str) -> dict:
@@ -301,7 +298,8 @@ def load_kernel_source(source: str) -> CompiledKernel:
     """Warm-load a previously generated module (from the result store).
 
     The module carries its own ``PROGRAM``/``FINGERPRINT`` constants, so a
-    warm load skips lowering entirely and seeds the in-process cache.
+    warm load skips lowering entirely and seeds the in-process cache.  A
+    module generated under a different :data:`KERNEL_ABI` is refused.
     """
     probe: dict = {}
     try:
@@ -312,13 +310,16 @@ def load_kernel_source(source: str) -> CompiledKernel:
     name = probe.get("PROGRAM")
     if not isinstance(fp, str) or not isinstance(name, str) or "request_gen" not in probe:
         raise UnsupportedConstructError("stored kernel module lacks kernel entry points")
+    abi = probe.get("KERNEL_ABI")
+    if abi != KERNEL_ABI:
+        raise UnsupportedConstructError(
+            f"stored kernel module has ABI {abi!r}, this lowerer emits {KERNEL_ABI}"
+        )
     kernel = CompiledKernel(
         program_name=name,
         fingerprint=fp,
         source=source,
         lowering_seconds=0.0,
-        vector_sites=int(probe.get("VECTOR_SITES", 0)),
-        static_sites=len(probe.get("STATIC_SITES", ())),
         _ns=probe,
     )
     _CACHE[fp] = kernel
@@ -348,8 +349,6 @@ def lower_program(program: Program, fingerprint: str | None = None) -> CompiledK
         fingerprint=fp,
         source=source,
         lowering_seconds=dt,
-        vector_sites=lowerer.vector_site_count,
-        static_sites=len(lowerer.static_sites),
         _ns=ns,
     )
 
@@ -433,7 +432,6 @@ Program {name!r}; content address (SHA-256 of printed IR) in FINGERPRINT.
 import math
 
 from repro.ir.interp import InterpreterError
-from repro.kernel import vectorize as _vec
 from repro.sim.requests import (
     Alloc,
     Collective,
@@ -459,6 +457,7 @@ _R_min = min
 
 PROGRAM = {name!r}
 FINGERPRINT = "__FINGERPRINT__"
+KERNEL_ABI = {abi!r}
 '''
 
 
@@ -467,11 +466,7 @@ class _Lowerer:
 
     def __init__(self, program: Program):
         self.program = program
-        self.vector_site_count = 0
-        self.static_sites: list[str] = []  # emitted STATIC_SITES tuple entries
         self.helper_lines: list[str] = []
-        self._site_seq = 0
-        self._vec_plans: dict[int, vectorize.SitePlan] = {}  # id(stmt) -> plan
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
@@ -483,13 +478,6 @@ class _Lowerer:
         # Working-set caches are keyed by statement sid in the interpreter;
         # replicate the keying (including collisions on unnumbered trees).
         self._ws_names: dict[int, str] = {}
-        # Names whose values are fixed at rank start (for static wave sites):
-        # params and builtins, extended by top-level ReadParams.
-        self._known: dict[str, str] = {n: "input" for n in program.params}
-        self._write_counts: dict[str, int] = {}
-        for stmt in walk(program.body):
-            for name in stmt.writes():
-                self._write_counts[name] = self._write_counts.get(name, 0) + 1
         # Comp-block kernel callables: the scalars an env dict must mirror
         # and, per call site, the ones definitely bound there.
         self._kernels = [
@@ -536,22 +524,14 @@ class _Lowerer:
         prog = self.program
         req_lines = self._emit_gen("req")
         fast_lines = self._emit_gen("fast")
-        parts = [_PREAMBLE.format(name=prog.name)]
+        parts = [_PREAMBLE.format(name=prog.name, abi=KERNEL_ABI)]
         parts.append("")
         parts.extend(self.helper_lines)
-        parts.append(f"VECTOR_SITES = {self.vector_site_count}")
-        if self.static_sites:
-            parts.append("STATIC_SITES = (")
-            for entry in self.static_sites:
-                parts.append(f"    {entry},")
-            parts.append(")")
-        else:
-            parts.append("STATIC_SITES = ()")
         parts.append("")
         parts.append("def request_gen(rank, size, inputs, wparams):")
         parts.extend(req_lines)
         parts.append("")
-        parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st, _wv):")
+        parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
         parts.extend(fast_lines)
         parts.append("")
         return "\n".join(parts)
@@ -610,7 +590,7 @@ class _Lowerer:
             else:
                 self._fast_alloc_yield(w, decl.name)
         for stmt in prog.body:
-            self._emit_stmt(w, stmt, mode, depth=0)
+            self._emit_stmt(w, stmt, mode)
         if mode == "fast":
             w.line("_st[0] = clock")
             w.line("_st[1] = ev")
@@ -649,23 +629,17 @@ class _Lowerer:
 
     # -- statement dispatch ------------------------------------------------
 
-    def _emit_stmt(self, w: "_Writer", stmt, mode: str, depth: int) -> None:
+    def _emit_stmt(self, w: "_Writer", stmt, mode: str) -> None:
         ty = type(stmt)
         if ty is Assign:
             self._check_expr_reads(stmt.expr)
             w.line(f"{_mangle(stmt.var)} = {_emit_expr(stmt.expr)}")
-            if depth == 0 and self._write_counts.get(stmt.var, 0) == 1:
-                srcs = self._static_sources(stmt.expr.free_vars())
-                if srcs is not None:
-                    # Single-write top-level assign over fixed names is
-                    # itself fixed; unlocks static waves further down.
-                    self._known[stmt.var] = "derived"
             return
         if ty is CompBlock:
             self._emit_comp(w, stmt, mode)
             return
         if ty is For:
-            self._emit_for(w, stmt, mode, depth)
+            self._emit_for(w, stmt, mode)
             return
         if ty is If:
             bad = stmt.cond.free_vars() & self.handle_vars
@@ -677,14 +651,14 @@ class _Lowerer:
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
-                        self._emit_stmt(w, s, mode, depth + 1)
+                        self._emit_stmt(w, s, mode)
             else:
                 w.line("    pass")
             if stmt.orelse:
                 w.line("else:")
                 with w.indented():
                     for s in stmt.orelse:
-                        self._emit_stmt(w, s, mode, depth + 1)
+                        self._emit_stmt(w, s, mode)
             return
         if ty is SendStmt:
             self._emit_send(w, stmt, mode, blocking=True)
@@ -708,7 +682,7 @@ class _Lowerer:
             self._emit_delay(w, stmt, mode)
             return
         if ty is ReadParams:
-            self._emit_read_params(w, stmt, mode, depth)
+            self._emit_read_params(w, stmt, mode)
             return
         if ty is StartTimer:
             if mode == "req":
@@ -930,7 +904,7 @@ class _Lowerer:
             w.line(f"{_mangle(stmt.result_var)} = _tmp[1]")
         w.line("hc = _st[4]")
 
-    def _emit_read_params(self, w: "_Writer", stmt: ReadParams, mode: str, depth: int) -> None:
+    def _emit_read_params(self, w: "_Writer", stmt: ReadParams, mode: str) -> None:
         names = tuple(stmt.names)
         w.line(f"_ms = [n for n in {names!r} if n not in _wp]")
         w.line("if _ms:")
@@ -954,10 +928,6 @@ class _Lowerer:
             w.line("hc = _st[4]")
         for n in names:
             w.line(f"{_mangle(n)} = _rd[{n!r}]")
-        if depth == 0:
-            for n in names:
-                if self._write_counts.get(n, 0) == 1:
-                    self._known[n] = "wparam"
 
     def _emit_delay(self, w: "_Writer", stmt: DelayStmt, mode: str) -> None:
         self._check_expr_reads(stmt.amount)
@@ -975,136 +945,17 @@ class _Lowerer:
         w.line("else:")
         w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
 
-    # -- loops and vectorization -------------------------------------------
+    # -- loops -------------------------------------------------------------
 
-    def _emit_for(self, w: "_Writer", stmt: For, mode: str, depth: int) -> None:
+    def _emit_for(self, w: "_Writer", stmt: For, mode: str) -> None:
         self._check_expr_reads(stmt.lo, stmt.hi)
-        plan = self._vec_plan(stmt) if mode == "fast" else None
-        if plan is None:
-            w.line(
-                f"for {_mangle(stmt.var)} in "
-                f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
-            )
-            with w.indented():
-                for s in stmt.body:
-                    self._emit_stmt(w, s, mode, depth + 1)
-            return
-        # Vectorizable delay loop: one NumPy wave per entry (and, when the
-        # site is fixed at program start, one 2-D batch across all ranks).
-        delay = stmt.body[0]
-        w.line(f"_lo = int({_emit_expr(stmt.lo)})")
-        w.line(f"_hi = int({_emit_expr(stmt.hi)})")
-        if plan.static_id is not None:
-            w.line(f"_dl = _wv.get({plan.static_id})")
-            w.line("if _dl is None:")
-            w.line(f"    _dl = {plan.helper}(_lo, _hi{plan.callargs})")
-        else:
-            w.line(f"_dl = {plan.helper}(_lo, _hi{plan.callargs})")
-        w.line("if _dl is not None:")
+        w.line(
+            f"for {_mangle(stmt.var)} in "
+            f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
+        )
         with w.indented():
-            w.line("for _dy in _dl:")
-            with w.indented():
-                w.line("if _dy < _INF:")
-                with w.indented():
-                    w.line("clock += _dy")
-                    w.line("ct += _dy")
-                    w.line("hc += _DHC")
-                    w.line("ev += 1")
-                w.line("else:")
-                w.line(f"    Delay(seconds=_dy, task={delay.task!r})")
-        w.line("else:")
-        with w.indented():
-            w.line(f"for {_mangle(stmt.var)} in range(_lo, _hi + 1):")
-            with w.indented():
-                self._emit_delay(w, delay, mode)
-
-    def _vec_plan(self, stmt: For) -> vectorize.SitePlan | None:
-        """Build (once) and return the wave plan for a delay-only loop."""
-        key = id(stmt)
-        if key in self._vec_plans:
-            return self._vec_plans[key]
-        plan = None
-        if (
-            not self._kernels  # a kernel's env must see the loop variable
-            and len(stmt.body) == 1
-            and type(stmt.body[0]) is DelayStmt
-            and vectorize.batch_safe(stmt.body[0].amount)
-        ):
-            delay = stmt.body[0]
-            outer = sorted(
-                (delay.amount.free_vars() | stmt.lo.free_vars() | stmt.hi.free_vars())
-                - {stmt.var}
-            )
-            if all(n.isidentifier() for n in outer):
-                self._site_seq += 1
-                n = self._site_seq
-                helper = f"_vd{n}"
-                args = "".join(f", {_mangle(a)}" for a in outer)
-                body_np = vectorize.emit_numpy(delay.amount, stmt.var, set(outer))
-                self.helper_lines.append(f"def _vdf{n}(_np, _i{args}):")
-                self.helper_lines.append(f"    return {body_np}")
-                self.helper_lines.append(f"def {helper}(_lo, _hi{args}):")
-                argtuple = ", ".join(_mangle(a) for a in outer)
-                if outer:
-                    argtuple += ","
-                self.helper_lines.append(
-                    f"    return _vec.delay_wave(_lo, _hi, ({argtuple}), _vdf{n})"
-                )
-                self.helper_lines.append("")
-                static_id = self._maybe_static_site(n, stmt, delay, outer)
-                plan = vectorize.SitePlan(helper=helper, callargs=args, static_id=static_id)
-                self.vector_site_count += 1
-        self._vec_plans[key] = plan
-        return plan
-
-    def _static_sources(self, names) -> list[tuple[str, str]] | None:
-        """Resolve *names* to fixed-at-start sources, or None if any varies."""
-        out = []
-        for n in sorted(names):
-            if n == "myid" or n == "P":
-                out.append((n, "builtin"))
-                continue
-            src = self._known.get(n)
-            if src is None or self._write_counts.get(n, 0) > 1:
-                return None
-            if src == "derived":
-                return None  # conservatively skip derived chains in waves
-            out.append((n, src))
-        return out
-
-    def _maybe_static_site(self, n: int, stmt: For, delay: DelayStmt, outer) -> int | None:
-        """Emit a STATIC_SITES entry if the whole site is fixed at start.
-
-        Bounds must not depend on ``myid`` (rows would go ragged); the
-        amount may (that is the SPMD cross-rank axis).
-        """
-        bound_vars = (stmt.lo.free_vars() | stmt.hi.free_vars()) - {stmt.var}
-        if "myid" in bound_vars:
-            return None
-        srcs = self._static_sources(set(outer))
-        if srcs is None:
-            return None
-        if not (vectorize.batch_safe(stmt.lo) and vectorize.batch_safe(stmt.hi)):
-            return None
-        # ``myid`` is the cross-rank axis (a column vector at precompute
-        # time); everything else arrives as a scalar argument.
-        args = [(a, s) for a, s in srcs if a != "myid"]
-        arg_list = ", ".join(_mangle(a) for a, _ in args)
-        prefix = f", {arg_list}" if arg_list else ""
-        names = {a for a, _ in srcs}
-        lo_np = vectorize.emit_numpy(stmt.lo, None, names)
-        hi_np = vectorize.emit_numpy(stmt.hi, None, names)
-        body_np = vectorize.emit_numpy(delay.amount, stmt.var, names)
-        self.helper_lines.append(f"def _sl{n}(_np{prefix}):")
-        self.helper_lines.append(f"    return {lo_np}")
-        self.helper_lines.append(f"def _sh{n}(_np{prefix}):")
-        self.helper_lines.append(f"    return {hi_np}")
-        self.helper_lines.append(f"def _sb{n}(_np, _i, v_myid{prefix}):")
-        self.helper_lines.append(f"    return {body_np}")
-        self.helper_lines.append("")
-        spec = tuple(args)
-        self.static_sites.append(f"({n}, _sl{n}, _sh{n}, _sb{n}, {spec!r})")
-        return n
+            for s in stmt.body:
+                self._emit_stmt(w, s, mode)
 
 
 def _scalar_names(program: Program) -> list[str]:

@@ -46,7 +46,6 @@ from ..sim.faults import DeadlockReport, WaitInfo
 from ..sim.flightrec import FLIGHT, deadlock_report_to_dict
 from ..sim.heartbeat import HEARTBEAT
 from ..sim.stats import ProcessStats, SimStats
-from . import vectorize
 
 __all__ = ["run_fast"]
 
@@ -104,13 +103,11 @@ def run_fast(sim):
         sim._delay_host_cost,
         sim.cpu.timer_cost(),
     )
-    waves = vectorize.static_waves(nprocs, inputs, wparams, kernel.static_wave_sites)
     fast_gen = kernel.fast_gen
     gens = []
     steps = []
     for r in range(nprocs):
-        wv = {sid: rows[r] for sid, rows in waves.items()}
-        g = fast_gen(r, nprocs, inputs, wparams, rt, st[r], wv)
+        g = fast_gen(r, nprocs, inputs, wparams, rt, st[r])
         gens.append(g)
         steps.append(g.send)
 

@@ -12,7 +12,7 @@ from .campaign import (
     format_campaign_report,
     load_grid,
 )
-from .parallel import WorkerPoolError, WorkflowSpec, calibrate_many, resolve_jobs
+from .parallel import WorkflowSpec, calibrate_many, resolve_jobs
 from .pipeline import ModelingWorkflow
 from .supervisor import minimize_poison, run_supervised
 from .reporting import (
@@ -47,7 +47,6 @@ __all__ = [
     "format_campaign_report",
     "load_grid",
     "WorkflowSpec",
-    "WorkerPoolError",
     "calibrate_many",
     "resolve_jobs",
     "run_supervised",

@@ -160,7 +160,6 @@ class CampaignConfig:
     # excluded from config_hash — it decides how pathological runs are
     # scheduled/killed, never what a healthy run computes, and records
     # are keyed by run_id so non-terminal outcomes simply re-run) -----------
-    supervise: bool = True  # jobs > 1: supervised pool vs bare executor
     heartbeat_timeout: float | None = 30.0  # stale-cursor deadline; None = off
     poison_threshold: int = 2  # worker deaths/hangs before quarantine
     checkpoint_interval: int | None = None  # events between cursors; None = off
@@ -206,10 +205,10 @@ class CampaignConfig:
     def from_request(cls, request: CampaignRequest, **policy) -> CampaignConfig:
         """Build a config from the typed API plus execution policy.
 
-        *policy* takes the execution-side knobs (``supervise``,
-        ``heartbeat_timeout``, ``poison_threshold``,
-        ``checkpoint_interval``, ``calib_from_spec``, ``warm_dir``,
-        ``backend``) — everything result-shaping comes from *request*.
+        *policy* takes the execution-side knobs (``heartbeat_timeout``,
+        ``poison_threshold``, ``checkpoint_interval``, ``calib_from_spec``,
+        ``warm_dir``, ``backend``) — everything result-shaping comes from
+        *request*.
         """
         return cls(
             name=request.name,
@@ -307,8 +306,7 @@ def expand_grid(grid: dict) -> CampaignConfig:
     if not isinstance(sup, dict):
         raise bad("'supervision' must be an object")
     extra = set(sup) - {
-        "supervise", "heartbeat_timeout", "poison_threshold",
-        "checkpoint_interval",
+        "heartbeat_timeout", "poison_threshold", "checkpoint_interval",
     }
     if extra:
         raise bad(f"unknown supervision keys {sorted(extra)}")
@@ -350,7 +348,6 @@ def expand_grid(grid: dict) -> CampaignConfig:
         retries=int(grid.get("retries", 0)),
         backoff=float(grid.get("backoff", 0.1)),
         retry_policy=retry,
-        supervise=bool(sup.get("supervise", True)),
         heartbeat_timeout=(
             float(sup["heartbeat_timeout"])
             if sup.get("heartbeat_timeout") is not None else
@@ -733,7 +730,7 @@ class CampaignRunner:
     def _execute_parallel(self, journal: AtomicJournal,
                           records: dict[str, RunRecord],
                           max_runs: int | None, jobs: int) -> tuple[int, bool]:
-        """Fan pending cells across worker processes.
+        """Fan pending cells across the supervised worker pool.
 
         Workers rebuild their own runner from the (picklable) config and
         execute single cells via :meth:`run_one`; the parent
@@ -766,37 +763,19 @@ class CampaignRunner:
                     "campaign_runs_total", "campaign runs by outcome"
                 ).inc(outcome=rec.outcome, app=spec.app, mode=spec.mode)
 
-        if self.config.supervise:
-            from .supervisor import run_supervised
+        from .supervisor import run_supervised
 
-            executed = run_supervised(
-                self.config, pending, jobs, on_record,
-                resolver=self.resolver, sleep=self.sleep,
-                telemetry=self.telemetry,
-                checkpoint_dir=(
-                    self.out_dir / CHECKPOINT_DIR_NAME
-                    if self.config.checkpoint_interval else None
-                ),
-                quarantine_dir=self.out_dir / QUARANTINE_DIR_NAME,
-                inline_run=self.run_one,
-            )
-            return executed, stopped
-
-        from .parallel import WorkerPoolError, run_campaign_cells
-
-        try:
-            executed = run_campaign_cells(
-                self.config, pending, jobs, on_record,
-                resolver=self.resolver, sleep=self.sleep,
-                telemetry=self.telemetry,
-            )
-        except WorkerPoolError as exc:
-            in_flight = ", ".join(exc.run_ids) if exc.run_ids else "unknown"
-            raise CampaignError(
-                f"a campaign worker process died unexpectedly ({exc.cause}); "
-                f"runs in flight: {in_flight}; "
-                f"completed runs are journaled — re-run with --resume"
-            ) from None
+        executed = run_supervised(
+            self.config, pending, jobs, on_record,
+            resolver=self.resolver, sleep=self.sleep,
+            telemetry=self.telemetry,
+            checkpoint_dir=(
+                self.out_dir / CHECKPOINT_DIR_NAME
+                if self.config.checkpoint_interval else None
+            ),
+            quarantine_dir=self.out_dir / QUARANTINE_DIR_NAME,
+            inline_run=self.run_one,
+        )
         return executed, stopped
 
     def _execute_one(self, spec: RunSpec, index: int) -> RunRecord:

@@ -2,21 +2,22 @@
 
 The simulation kernel is single-threaded by design (one global event
 heap), but the *experiments* built on top of it are embarrassingly
-parallel: campaign grid cells, validation-sweep points and repeated
-calibration runs share nothing except read-only configuration.  This
-module fans such independent runs across a ``ProcessPoolExecutor``.
+parallel: validation-sweep points and repeated calibration runs share
+nothing except read-only configuration.  This module fans such
+independent runs across a ``ProcessPoolExecutor``; campaign grid cells
+go through the supervised pool in :mod:`repro.workflow.supervisor`,
+which shares :func:`_quiet_worker` with it.
 
 Design rules (the determinism contract, see docs/robustness.md):
 
 * **Workers rebuild, parents aggregate.**  Programs are not picklable
   (``nas_sp`` closes over numpy state), so a worker never receives live
-  objects — it receives the *recipe* (:class:`WorkflowSpec`, or a
-  :class:`~repro.workflow.campaign.CampaignConfig`) and rebuilds its own
-  workflow once per process, caching it in a module global.
-* **Completion order never shapes results.**  Parents journal records
-  in completion order but derive every artifact (``results.csv``,
-  validation series) in *spec order*, so ``--jobs 4`` output is
-  byte-identical to ``--jobs 1``.
+  objects — it receives the *recipe* (:class:`WorkflowSpec`) and
+  rebuilds its own workflow once per process, caching it in a module
+  global.
+* **Completion order never shapes results.**  Parents derive every
+  artifact (validation series, calibration lists) in *spec order*, so
+  ``--jobs 4`` output is byte-identical to ``--jobs 1``.
 * **Every run is seeded by its spec, not by execution order.**  The
   engine is deterministic under a fixed seed, so the same cell computes
   the same record no matter which worker runs it, or when.
@@ -28,35 +29,15 @@ from __future__ import annotations
 
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 __all__ = [
     "resolve_jobs",
     "WorkflowSpec",
-    "WorkerPoolError",
-    "run_campaign_cells",
     "run_validation_points",
     "calibrate_many",
 ]
-
-
-class WorkerPoolError(RuntimeError):
-    """The bare process pool broke under us (a worker died).
-
-    Carries the ``run_ids`` that were in flight when the pool failed so
-    the campaign's one-line error can say exactly which cells were
-    abandoned, and ``cause`` — the underlying pool failure text.  Only
-    raised on the unsupervised (``supervise=False``) path; the
-    supervised pool retries and degrades instead
-    (:mod:`repro.workflow.supervisor`).
-    """
-
-    def __init__(self, cause: str, run_ids: list[str]):
-        ids = ", ".join(run_ids) if run_ids else "unknown"
-        super().__init__(f"{cause} (runs in flight: {ids})")
-        self.cause = cause
-        self.run_ids = run_ids
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -123,24 +104,6 @@ def _quiet_worker() -> None:
     METRICS.disable()
 
 
-def _campaign_init(config, resolver, sleep, telemetry=False) -> None:
-    _quiet_worker()
-    from .campaign import CampaignRunner
-
-    # telemetry=True makes run_one capture each run into a capsule
-    # (fresh per-run tracer/metrics state inside the otherwise-quiet
-    # worker); the capsule rides back to the parent on the record
-    _STATE["runner"] = CampaignRunner(
-        config, out_dir=os.devnull, resolver=resolver, sleep=sleep,
-        telemetry=telemetry,
-    )
-
-
-def _campaign_cell(index: int, spec):
-    """Execute one grid cell in a worker; return its RunRecord."""
-    return _STATE["runner"].run_one(spec, index)
-
-
 def _workflow_init(spec: WorkflowSpec) -> None:
     _quiet_worker()
     _STATE["workflow"] = spec.build()
@@ -165,57 +128,6 @@ def _calibration_run(seed: int) -> dict:
 
 
 # -- parent-side drivers -------------------------------------------------------
-
-
-def run_campaign_cells(config, pending, jobs, on_record,
-                       resolver=None, sleep=None, telemetry=False):
-    """Fan *pending* ``(index, spec)`` cells across *jobs* workers.
-
-    ``on_record(spec, record)`` is called in **completion order** — the
-    campaign runner journals there; its ``results.csv`` is rebuilt in
-    spec order afterwards, which is what makes parallel output
-    byte-identical to sequential.  An interrupt raised while waiting is
-    allowed to propagate after pending work is cancelled; a worker crash
-    surfaces as :class:`WorkerPoolError` naming the run ids that were in
-    flight.  *telemetry* arms per-run capsule capture inside the workers.
-    """
-    import time
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)),
-        initializer=_campaign_init,
-        initargs=(config, resolver,
-                  sleep if sleep is not None else time.sleep, telemetry),
-    )
-    try:
-        futures = {
-            pool.submit(_campaign_cell, index, spec): spec
-            for index, spec in pending
-        }
-        executed = 0
-        for fut in as_completed(futures):
-            rec = fut.result()
-            on_record(futures[fut], rec)
-            executed += 1
-        pool.shutdown()
-        return executed
-    except BrokenProcessPool as exc:
-        # in-flight = submitted but never produced a record (the pool
-        # marks every pending future failed when it breaks); collect
-        # before shutdown and report them by run id
-        in_flight = sorted(
-            spec.run_id for fut, spec in futures.items()
-            if fut.cancelled() or not fut.done() or fut.exception() is not None
-        )
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise WorkerPoolError(str(exc) or type(exc).__name__, in_flight) from None
-    except BaseException:
-        # interrupt: cancel what has not started and abandon what has;
-        # the journal already holds every completed record, so --resume
-        # re-runs exactly the abandoned cells
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
 
 
 def run_validation_points(spec: WorkflowSpec, configs, include_de,

@@ -1,8 +1,8 @@
 """Supervised execution runtime: heartbeats, hang kills, poison quarantine.
 
-The bare :class:`~concurrent.futures.ProcessPoolExecutor` fan-out in
-:mod:`repro.workflow.parallel` has three failure modes that each take
-down a whole campaign: a worker that *dies* breaks the pool, a worker
+A bare :class:`~concurrent.futures.ProcessPoolExecutor` fan-out (as in
+:mod:`repro.workflow.parallel`) has three failure modes that would each
+take down a whole campaign: a worker that *dies* breaks the pool, a worker
 that *wedges* is only caught by the coarse wall budget (or never), and
 a *poison* spec — one whose run reliably kills or hangs its worker —
 turns every retry into another casualty.  This module replaces the

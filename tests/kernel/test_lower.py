@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.ir import make_factory
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import (
+    KERNEL_ABI,
     UnsupportedConstructError,
     cache_stats,
     cached_kernels,
@@ -17,6 +19,8 @@ from repro.kernel import (
     record_fallback,
     set_warm_dir,
 )
+from repro.machine import TESTING_MACHINE
+from repro.sim import ExecMode, Simulator
 from repro.store import load_warm_kernel, save_warm_kernel
 from repro.symbolic import Var
 
@@ -165,3 +169,31 @@ class TestWarmStore:
         reloaded = kernel_for(ring_program())
         assert reloaded.fingerprint == kernel.fingerprint
         assert cache_stats()["lowered"] == 1  # fell through to a fresh lowering
+
+    @pytest.mark.parametrize("stale", [f"KERNEL_ABI = {KERNEL_ABI - 1}", ""])
+    def test_stale_abi_warm_entry_relowered(self, tmp_path, stale):
+        # a module written by a lowerer with another generated-code
+        # protocol (or before the ABI constant existed) is never reused
+        def run(backend):
+            factory = make_factory(ring_program(), {"iters": 4})
+            sim = Simulator(4, factory, TESTING_MACHINE, mode=ExecMode.DE, backend=backend)
+            return [p.to_dict() for p in sim.run().stats.procs]
+
+        set_warm_dir(tmp_path)
+        kernel = kernel_for(ring_program())
+        current = f"KERNEL_ABI = {KERNEL_ABI}"
+        assert kernel.source.count(current) == 1
+        save_warm_kernel(
+            tmp_path, program=kernel.program_name, fingerprint=kernel.fingerprint,
+            source=kernel.source.replace(current, stale),
+        )
+        clear_cache()
+        set_warm_dir(tmp_path)
+        compiled = run("compiled")
+        stats = cache_stats()
+        assert stats["warm_loads"] == 0
+        assert stats["lowered"] == 1
+        # the fresh lowering overwrote the stale entry
+        assert load_warm_kernel(tmp_path, kernel.fingerprint) == kernel.source
+        set_warm_dir(None)
+        assert compiled == run("interpreted")

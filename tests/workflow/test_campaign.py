@@ -52,6 +52,12 @@ class TestGridExpansion:
         with pytest.raises(CampaignError, match="unknown keys"):
             expand_grid(tiny_grid(frobnicate=True))
 
+    def test_removed_supervise_key_rejected(self):
+        # campaigns always run supervised; the old opt-out must not be
+        # silently ignored
+        with pytest.raises(CampaignError, match="unknown supervision keys"):
+            expand_grid(tiny_grid(supervision={"supervise": False}))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(CampaignError, match="unknown mode"):
             expand_grid(tiny_grid(modes=["turbo"]))

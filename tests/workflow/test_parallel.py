@@ -3,18 +3,16 @@
 The contract under test (docs/robustness.md): ``--jobs N`` may change
 *when* runs execute and in what order records reach the journal, but
 never *what* is computed — ``results.csv`` is byte-identical to a
-sequential run, resumes interoperate freely between jobs settings, and
-a worker crash degrades to an ordinary resumable interruption.
+sequential run, and resumes interoperate freely between jobs settings.
+Worker crashes, hangs and poison cells are covered in test_supervisor.py.
 """
 
 import json
-import os
 import signal
 
 import pytest
 
 from repro.workflow.campaign import (
-    CampaignError,
     CampaignInterrupted,
     CampaignRunner,
     expand_grid,
@@ -43,16 +41,6 @@ def tiny_grid(**overrides):
 def run_campaign(tmp_path, grid=None, sub="out", **execute_kw):
     runner = CampaignRunner(expand_grid(grid or tiny_grid()), tmp_path / sub)
     return runner, runner.execute(**execute_kw)
-
-
-def _crash_cell(index, spec):  # pragma: no cover - runs inside a worker
-    """Submitted in place of parallel._campaign_cell: kills its worker.
-
-    Must be a named module-level function — the pool pickles submitted
-    callables by qualified name, and an unpicklable stand-in would wedge
-    the executor's feeder thread instead of crashing a worker.
-    """
-    os._exit(1)
 
 
 def journal_runs(runner):
@@ -115,9 +103,9 @@ class TestParallelCampaign:
     def test_interrupt_mid_parallel_then_resume(self, tmp_path):
         """An interrupt that lands between completions journals a marker
         and leaves a prefix any later jobs setting can finish."""
-        import repro.workflow.parallel as parallel
+        import repro.workflow.supervisor as supervisor
 
-        real = parallel.run_campaign_cells
+        real = supervisor.run_supervised
 
         def interrupting(config, pending, jobs, on_record, **kw):
             def wrapped(spec, rec):
@@ -127,11 +115,8 @@ class TestParallelCampaign:
             return real(config, pending, jobs, wrapped, **kw)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parallel, "run_campaign_cells", interrupting)
-            runner = CampaignRunner(
-                expand_grid(tiny_grid(supervision={"supervise": False})),
-                tmp_path / "out",
-            )
+            mp.setattr(supervisor, "run_supervised", interrupting)
+            runner = CampaignRunner(expand_grid(tiny_grid()), tmp_path / "out")
             report = runner.execute(jobs=4)
         assert report.interrupted and not report.complete
         docs = [json.loads(line) for line in
@@ -145,37 +130,15 @@ class TestParallelCampaign:
         assert (tmp_path / "out" / "results.csv").read_bytes() == \
                (tmp_path / "ref" / "results.csv").read_bytes()
 
-    def test_worker_crash_is_resumable_campaign_error(self, tmp_path):
-        """On the unsupervised pool, a dead worker surfaces as a
-        CampaignError advising --resume — naming the in-flight run ids —
-        not a raw BrokenProcessPool traceback; the journal stays usable."""
-        import repro.workflow.parallel as parallel
-
-        config = expand_grid(tiny_grid(supervision={"supervise": False}))
-        runner = CampaignRunner(config, tmp_path / "out")
-        with pytest.MonkeyPatch.context() as mp:
-            # every worker dies before completing a cell
-            mp.setattr(parallel, "_campaign_cell", _crash_cell)
-            with pytest.raises(CampaignError, match="--resume") as exc_info:
-                runner.execute(jobs=2)
-        # the one-line error names the abandoned cells by run id
-        assert "runs in flight" in str(exc_info.value)
-        assert any(s.run_id in str(exc_info.value) for s in config.specs)
-        resumed = runner.execute(resume=True, jobs=2)
-        assert resumed.complete
-        _, ref = run_campaign(tmp_path, sub="ref", jobs=1)
-        assert (tmp_path / "out" / "results.csv").read_bytes() == \
-               (tmp_path / "ref" / "results.csv").read_bytes()
-
     def test_jobs_one_uses_sequential_path(self, tmp_path, monkeypatch):
         """jobs=1 must not pay process-pool overhead (and must keep
         working where multiprocessing is unavailable)."""
-        import repro.workflow.parallel as parallel
+        import repro.workflow.supervisor as supervisor
 
         def boom(*a, **kw):  # pragma: no cover - failure path
-            raise AssertionError("jobs=1 must not enter the parallel executor")
+            raise AssertionError("jobs=1 must not enter the supervised pool")
 
-        monkeypatch.setattr(parallel, "run_campaign_cells", boom)
+        monkeypatch.setattr(supervisor, "run_supervised", boom)
         _, report = run_campaign(tmp_path, jobs=1)
         assert report.complete
 
