@@ -1381,8 +1381,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--timeout", type=_positive_float, default=None,
                    metavar="SECONDS",
                    help="watchdog timeout for blocking sends/receives")
-    q.add_argument("--calib-procs", type=_positive_int, default=2,
-                   help="calibration processor count (default 2)")
+    q.add_argument("--calib-procs", type=_positive_int, default=None,
+                   help="calibration processor count (default min(nprocs, 16))")
     add_budget_args(q)
     add_jobs_arg(q, "worker processes for a --store cache miss (default 1)")
     q.add_argument("--server", metavar="HOST:PORT",

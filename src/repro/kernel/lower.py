@@ -67,20 +67,9 @@ from ..ir.nodes import (
 from ..ir.printer import format_program
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
-from ..symbolic.boolean import And, BoolConst, BoolExpr, Cmp, Not, Or
-from ..symbolic.expr import (
-    Add,
-    CeilDiv,
-    Const,
-    Div,
-    Expr,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Var,
-)
+from ..symbolic.boolean import BoolExpr
+from ..symbolic.emit import emit
+from ..symbolic.expr import Expr
 from ..symbolic.extended import Cond, Sum
 
 __all__ = [
@@ -364,60 +353,28 @@ def _mangle(name: str) -> str:
     return f"v_{name}"
 
 
-def _emit_expr(e: Expr) -> str:
+def _emit(e: Expr | BoolExpr) -> str:
     """Emit *e* as flat Python over ``v_<name>`` locals.
 
-    Mirrors :meth:`Expr._emit` (the interpreter's compiled form) operator
-    for operator so scalar results are bit-identical.
+    The shared :func:`repro.symbolic.emit.emit` also builds the
+    interpreter's compiled form, so scalar results are bit-identical.
     """
+    return emit(e, _mangle, _emit_extended)
+
+
+def _emit_extended(e) -> str:
+    """``Sum`` and ``Cond`` over locals; any other node is not lowerable."""
     ty = type(e)
-    if ty is Const:
-        return f"({e.value!r})"
-    if ty is Var:
-        return _mangle(e.name)
-    if ty is Add:
-        return "(" + " + ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Mul:
-        return "(" + " * ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Max:  # Max subclasses Min: test first
-        return "max(" + ", ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Min:
-        return "min(" + ", ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Div:
-        return f"({_emit_expr(e.a)} / {_emit_expr(e.b)})"
-    if ty is FloorDiv:
-        return f"_fd({_emit_expr(e.a)}, {_emit_expr(e.b)})"
-    if ty is CeilDiv:
-        return f"_cd({_emit_expr(e.a)}, {_emit_expr(e.b)})"
-    if ty is Mod:
-        return f"({_emit_expr(e.a)} % {_emit_expr(e.b)})"
     if ty is Sum:
-        body = _emit_expr(e.body)
-        lo = _emit_expr(e.lo)
-        hi = _emit_expr(e.hi)
+        body = _emit(e.body)
+        lo = _emit(e.lo)
+        hi = _emit(e.hi)
         var = _mangle(e.var)
         return f"sum({body} for {var} in range(int({lo}), int({hi}) + 1))"
     if ty is Cond:
-        return (
-            f"(({_emit_expr(e.then)}) if ({_emit_bool(e.cond)}) "
-            f"else ({_emit_expr(e.orelse)}))"
-        )
-    raise UnsupportedConstructError(f"expression node {ty.__name__} is not lowerable")
-
-
-def _emit_bool(e: BoolExpr) -> str:
-    ty = type(e)
-    if ty is BoolConst:
-        return "True" if e.value else "False"
-    if ty is Cmp:
-        return f"({_emit_expr(e.a)} {e.op} {_emit_expr(e.b)})"
-    if ty is And:
-        return "(" + " and ".join(_emit_bool(t) for t in e.args) + ")"
-    if ty is Or:
-        return "(" + " or ".join(_emit_bool(t) for t in e.args) + ")"
-    if ty is Not:
-        return f"(not {_emit_bool(e.arg)})"
-    raise UnsupportedConstructError(f"boolean node {ty.__name__} is not lowerable")
+        return f"(({_emit(e.then)}) if ({_emit(e.cond)}) else ({_emit(e.orelse)}))"
+    kind = "boolean" if isinstance(e, BoolExpr) else "expression"
+    raise UnsupportedConstructError(f"{kind} node {ty.__name__} is not lowerable")
 
 
 # --------------------------------------------------------------------------
@@ -577,7 +534,7 @@ class _Lowerer:
                     f"array {decl.name!r} is materialized (data-dependent control flow)"
                 )
             self._check_expr_reads(decl.size)
-            w.line(f"_n = int({_emit_expr(decl.size)})")
+            w.line(f"_n = int({_emit(decl.size)})")
             w.line("if _n < 0:")
             w.line(
                 f'    raise InterpreterError(f"array {decl.name!r} '
@@ -633,7 +590,7 @@ class _Lowerer:
         ty = type(stmt)
         if ty is Assign:
             self._check_expr_reads(stmt.expr)
-            w.line(f"{_mangle(stmt.var)} = {_emit_expr(stmt.expr)}")
+            w.line(f"{_mangle(stmt.var)} = {_emit(stmt.expr)}")
             return
         if ty is CompBlock:
             self._emit_comp(w, stmt, mode)
@@ -647,7 +604,7 @@ class _Lowerer:
                 raise UnsupportedConstructError(
                     f"handle variable(s) {sorted(bad)} read as scalars"
                 )
-            w.line(f"if {_emit_bool(stmt.cond)}:")
+            w.line(f"if {_emit(stmt.cond)}:")
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
@@ -708,7 +665,7 @@ class _Lowerer:
             return
         if ty is AllocStmt:
             self._check_expr_reads(stmt.nbytes)
-            w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+            w.line(f"_nb = int({_emit(stmt.nbytes)})")
             if mode == "req":
                 w.line(f"yield Alloc({stmt.name!r}, _nb)")
             else:
@@ -728,7 +685,7 @@ class _Lowerer:
     def _emit_comp(self, w: "_Writer", stmt: CompBlock, mode: str) -> None:
         self._check_expr_reads(stmt.work)
         ws = self._ws_name(stmt.sid)
-        w.line(f"_w = {_emit_expr(stmt.work)}")
+        w.line(f"_w = {_emit(stmt.work)}")
         w.line("if _w < 0:")
         w.line("    _w = 0")
         if stmt.kernel is not None:
@@ -808,8 +765,8 @@ class _Lowerer:
 
     def _emit_send(self, w: "_Writer", stmt, mode: str, blocking: bool) -> None:
         self._check_expr_reads(stmt.dest, stmt.nbytes)
-        w.line(f"_d = int({_emit_expr(stmt.dest)})")
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+        w.line(f"_d = int({_emit(stmt.dest)})")
+        w.line(f"_nb = int({_emit(stmt.nbytes)})")
         tag = int(stmt.tag)
         if mode == "req":
             if blocking:
@@ -835,8 +792,8 @@ class _Lowerer:
 
     def _emit_recv(self, w: "_Writer", stmt, mode: str, blocking: bool) -> None:
         self._check_expr_reads(stmt.source, stmt.nbytes)
-        w.line(f"_s = int({_emit_expr(stmt.source)})")
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+        w.line(f"_s = int({_emit(stmt.source)})")
+        w.line(f"_nb = int({_emit(stmt.nbytes)})")
         tag = int(stmt.tag)
         if mode == "req":
             if blocking:
@@ -878,10 +835,10 @@ class _Lowerer:
 
     def _emit_collective(self, w: "_Writer", stmt: CollectiveStmt, mode: str) -> None:
         self._check_expr_reads(stmt.nbytes, stmt.root, stmt.contrib)
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
-        w.line(f"_rt = int({_emit_expr(stmt.root)})")
+        w.line(f"_nb = int({_emit(stmt.nbytes)})")
+        w.line(f"_rt = int({_emit(stmt.root)})")
         if stmt.contrib is not None:
-            w.line(f"_cv = {_emit_expr(stmt.contrib)}")
+            w.line(f"_cv = {_emit(stmt.contrib)}")
         else:
             w.line("_cv = None")
         kind = stmt.reduce_kind if stmt.op in ("reduce", "allreduce") else None
@@ -931,7 +888,7 @@ class _Lowerer:
 
     def _emit_delay(self, w: "_Writer", stmt: DelayStmt, mode: str) -> None:
         self._check_expr_reads(stmt.amount)
-        w.line(f"_a = {_emit_expr(stmt.amount)}")
+        w.line(f"_a = {_emit(stmt.amount)}")
         if mode == "req":
             w.line(f"yield Delay(seconds=max(float(_a), 0.0), task={stmt.task!r})")
             return
@@ -951,7 +908,7 @@ class _Lowerer:
         self._check_expr_reads(stmt.lo, stmt.hi)
         w.line(
             f"for {_mangle(stmt.var)} in "
-            f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
+            f"range(int({_emit(stmt.lo)}), int({_emit(stmt.hi)}) + 1):"
         )
         with w.indented():
             for s in stmt.body:

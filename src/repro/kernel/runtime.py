@@ -58,6 +58,7 @@ def run_fast(sim):
         CollectiveMismatchError,
         DeadlockError,
         SimResult,
+        collective_results,
     )
 
     kernel = sim._kernel
@@ -525,7 +526,7 @@ def run_fast(sim):
                 elif cop == "bcast":
                     uniform = arrivals[state[1]][1]
                 elif cop != "barrier" and cop != "alltoall":
-                    results = _collective_results(state, CollectiveMismatchError)
+                    results = collective_results(cop, state[1], arrivals, state[4])
                 cost = MHB + state[2] * MHPB
                 b = bget(completion)
                 if b is None:
@@ -644,41 +645,6 @@ def _recorded(bucket: list, t: float, append, seen: list, pend: list):
         append((t, rank, _BLOCKED[pend[rank][0]] if code & 3 == 1 else "resume"))
         seen[0] += 1
         yield code
-
-
-def _collective_results(state: list, mismatch_error) -> dict:
-    """Per-rank payloads; mirrors ``Simulator._collective_results``."""
-    op, root, _nbytes, arrivals, fn = state
-    ranks = sorted(arrivals)
-    datas = {r: arrivals[r][1] for r in ranks}
-    if op == "bcast":
-        return {r: datas[root] for r in ranks}
-    if op in ("reduce", "allreduce"):
-        contributions = [datas[r] for r in ranks if datas[r] is not None]
-        acc = None
-        if contributions:
-            if fn is None:
-                raise mismatch_error(f"{op} with data requires a reduce_fn")
-            acc = contributions[0]
-            for c in contributions[1:]:
-                acc = fn(acc, c)
-        if op == "allreduce":
-            return {r: acc for r in ranks}
-        return {r: (acc if r == root else None) for r in ranks}
-    if op == "gather":
-        gathered = [datas[r] for r in ranks]
-        return {r: (gathered if r == root else None) for r in ranks}
-    if op == "allgather":
-        gathered = [datas[r] for r in ranks]
-        return {r: gathered for r in ranks}
-    if op == "scatter":
-        chunks = datas[root]
-        if chunks is not None and len(chunks) != len(ranks):
-            raise mismatch_error(
-                f"scatter payload has {len(chunks)} chunks for {len(ranks)} ranks"
-            )
-        return {r: (None if chunks is None else chunks[i]) for i, r in enumerate(ranks)}
-    return {r: None for r in ranks}
 
 
 def _deadlock_report(

@@ -195,7 +195,7 @@ class SimulationService:
     def __init__(self, store: ResultStore, *, jobs: int = 1,
                  governor: TenantGovernor | None = None,
                  resolver=None, default_machine: str = "IBM-SP",
-                 default_calib_procs: int | None = 2,
+                 default_calib_procs: int | None = None,
                  backend: str | None = None):
         self.store = store
         self.jobs = jobs

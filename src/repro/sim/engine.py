@@ -199,6 +199,46 @@ class _CollState:
         self.reduce_fn = None
 
 
+def collective_results(op: str, root: int, arrivals: dict, reduce_fn) -> dict[int, Any]:
+    """Per-rank result payloads of a completed collective.
+
+    *arrivals* maps each member rank to its ``(arrival_time, data)``;
+    both the engine and the compiled fast path (``kernel.runtime``) use
+    this one definition.
+    """
+    ranks = sorted(arrivals)
+    datas = {r: arrivals[r][1] for r in ranks}
+    if op == "bcast":
+        return {r: datas[root] for r in ranks}
+    if op in ("reduce", "allreduce"):
+        contributions = [datas[r] for r in ranks if datas[r] is not None]
+        acc = None
+        if contributions:
+            if reduce_fn is None:
+                raise CollectiveMismatchError(f"{op} with data requires a reduce_fn")
+            acc = contributions[0]
+            for c in contributions[1:]:
+                acc = reduce_fn(acc, c)
+        if op == "allreduce":
+            return {r: acc for r in ranks}
+        return {r: (acc if r == root else None) for r in ranks}
+    if op == "gather":
+        gathered = [datas[r] for r in ranks]
+        return {r: (gathered if r == root else None) for r in ranks}
+    if op == "allgather":
+        gathered = [datas[r] for r in ranks]
+        return {r: gathered for r in ranks}
+    if op == "scatter":
+        chunks = datas[root]
+        if chunks is not None and len(chunks) != len(ranks):
+            raise CollectiveMismatchError(
+                f"scatter payload has {len(chunks)} chunks for {len(ranks)} ranks"
+            )
+        return {r: (None if chunks is None else chunks[i]) for i, r in enumerate(ranks)}
+    # barrier, alltoall carry no modelled payload
+    return {r: None for r in ranks}
+
+
 class Simulator:
     """Simulate *nprocs* target processes of *program_factory* on *machine*.
 
@@ -1093,8 +1133,8 @@ class Simulator:
     # -- collectives -----------------------------------------------------------------
     def _do_collective(self, proc: _Proc, t: float, req: Collective) -> None:
         # communicator: the sorted participant tuple (None = world)
-        group = req.group if req.group is not None else None
-        members = group if group is not None else tuple(range(self.nprocs))
+        group = req.group
+        nmembers = self.nprocs if group is None else len(group)
         if group is not None:
             if proc.rank not in group:
                 raise CollectiveMismatchError(
@@ -1136,16 +1176,16 @@ class Simulator:
         state.nbytes = max(state.nbytes, req.nbytes)
         if req.reduce_fn is not None:
             state.reduce_fn = req.reduce_fn
-        if len(state.arrivals) < len(members):
+        if len(state.arrivals) < nmembers:
             return
         # everyone has arrived: price the operation and release the group
         del self._colls[key]
         idx = self._coll_trace_ids
         self._coll_trace_ids += 1
         start_max = max(at for at, _ in state.arrivals.values())
-        duration = self.net.collective_time(state.op, state.nbytes, len(members))
+        duration = self.net.collective_time(state.op, state.nbytes, nmembers)
         completion = start_max + duration
-        results = self._collective_results(state)
+        results = collective_results(state.op, state.root, state.arrivals, state.reduce_fn)
         cost = self._msg_host_base + state.nbytes * self._msg_host_per_byte
         trace = self.trace
         procs = self._procs
@@ -1164,42 +1204,6 @@ class Simulator:
             self._seq = pseq
             heappush(heap, (completion, pseq, rank,
                             ("resume", CollectiveResult(results[rank], completion))))
-
-    def _collective_results(self, state: _CollState) -> dict[int, Any]:
-        """Per-rank result payloads for a completed collective."""
-        op = state.op
-        ranks = sorted(state.arrivals)
-        datas = {r: state.arrivals[r][1] for r in ranks}
-        if op == "bcast":
-            return {r: datas[state.root] for r in ranks}
-        if op in ("reduce", "allreduce"):
-            fn = state.reduce_fn
-            contributions = [datas[r] for r in ranks if datas[r] is not None]
-            acc = None
-            if contributions:
-                if fn is None:
-                    raise CollectiveMismatchError(f"{op} with data requires a reduce_fn")
-                acc = contributions[0]
-                for c in contributions[1:]:
-                    acc = fn(acc, c)
-            if op == "allreduce":
-                return {r: acc for r in ranks}
-            return {r: (acc if r == state.root else None) for r in ranks}
-        if op == "gather":
-            gathered = [datas[r] for r in ranks]
-            return {r: (gathered if r == state.root else None) for r in ranks}
-        if op == "allgather":
-            gathered = [datas[r] for r in ranks]
-            return {r: gathered for r in ranks}
-        if op == "scatter":
-            chunks = datas[state.root]
-            if chunks is not None and len(chunks) != len(ranks):
-                raise CollectiveMismatchError(
-                    f"scatter payload has {len(chunks)} chunks for {len(ranks)} ranks"
-                )
-            return {r: (None if chunks is None else chunks[i]) for i, r in enumerate(ranks)}
-        # barrier, alltoall carry no modelled payload
-        return {r: None for r in ranks}
 
     # -- the deadlock watchdog ----------------------------------------------------
     def _deadlock_report(self) -> DeadlockReport:

@@ -43,7 +43,7 @@ _OPS = {
 class BoolExpr:
     """Base class of symbolic boolean expressions."""
 
-    __slots__ = ("_hash", "_compiled", "_craw")
+    __slots__ = ("_hash", "_compiled")
 
     def _key(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -72,38 +72,25 @@ class BoolExpr:
             return self._compiled
         except AttributeError:
             pass
-        raw = self._compile_raw()
+        from .emit import env_lambda  # emit imports this module
 
-        def fn(env, _raw=raw, _tree=self.evaluate):
+        def fn(env, _raw=env_lambda(self), _tree=self.evaluate):
             try:
                 return _raw(env)
             except KeyError:
-                # a raw arithmetic closure hit a missing binding: re-walk
-                # the tree for the precise UnboundVariableError
+                # missing binding: re-walk the tree for the precise
+                # UnboundVariableError
                 return _tree(env)
 
         object.__setattr__(self, "_compiled", fn)
         return fn
-
-    def _compile_raw(self):
-        """Cached unguarded closure (internal composition hook)."""
-        try:
-            return self._craw
-        except AttributeError:
-            pass
-        raw = self._compile()
-        object.__setattr__(self, "_craw", raw)
-        return raw
-
-    def _compile(self):
-        return self.evaluate
 
     # caches hold closures; rebuild them instead of pickling (see Expr)
     def __getstate__(self):
         state = {}
         for cls in type(self).__mro__:
             for name in getattr(cls, "__slots__", ()):
-                if name in ("_hash", "_compiled", "_craw"):
+                if name in ("_hash", "_compiled"):
                     continue
                 try:
                     state[name] = getattr(self, name)
@@ -154,10 +141,6 @@ class BoolConst(BoolExpr):
     def evaluate(self, env):
         return self.value
 
-    def _compile(self):
-        value = self.value
-        return lambda env: value
-
     def subs(self, mapping):
         return self
 
@@ -202,10 +185,6 @@ class Cmp(BoolExpr):
 
     def evaluate(self, env):
         return _OPS[self.op](self.a.evaluate(env), self.b.evaluate(env))
-
-    def _compile(self):
-        op, fa, fb = _OPS[self.op], self.a._compile_raw(), self.b._compile_raw()
-        return lambda env: op(fa(env), fb(env))
 
     def subs(self, mapping):
         return Cmp.make(self.op, self.a.subs(mapping), self.b.subs(mapping))
@@ -281,16 +260,6 @@ class And(_Junction):
     def evaluate(self, env):
         return all(a.evaluate(env) for a in self.args)
 
-    def _compile(self):
-        fns = tuple(a._compile_raw() for a in self.args)
-        if len(fns) == 2:
-            fa, fb = fns
-            return lambda env: fa(env) and fb(env)
-        if len(fns) == 3:
-            fa, fb, fc = fns
-            return lambda env: fa(env) and fb(env) and fc(env)
-        return lambda env: all(f(env) for f in fns)
-
 
 class Or(_Junction):
     """Logical disjunction."""
@@ -301,16 +270,6 @@ class Or(_Junction):
 
     def evaluate(self, env):
         return any(a.evaluate(env) for a in self.args)
-
-    def _compile(self):
-        fns = tuple(a._compile_raw() for a in self.args)
-        if len(fns) == 2:
-            fa, fb = fns
-            return lambda env: fa(env) or fb(env)
-        if len(fns) == 3:
-            fa, fb, fc = fns
-            return lambda env: fa(env) or fb(env) or fc(env)
-        return lambda env: any(f(env) for f in fns)
 
 
 class Not(BoolExpr):
@@ -344,10 +303,6 @@ class Not(BoolExpr):
 
     def evaluate(self, env):
         return not self.arg.evaluate(env)
-
-    def _compile(self):
-        fa = self.arg._compile_raw()
-        return lambda env: not fa(env)
 
     def subs(self, mapping):
         return Not.make(self.arg.subs(mapping))

@@ -74,7 +74,7 @@ class Expr:
     :meth:`subs`, :meth:`free_vars` and ``__str__``.
     """
 
-    __slots__ = ("_hash", "_compiled", "_craw")
+    __slots__ = ("_hash", "_compiled")
 
     # -- structural identity ------------------------------------------------
     def _key(self):  # pragma: no cover - abstract
@@ -120,9 +120,9 @@ class Expr:
             return self._compiled
         except AttributeError:
             pass
-        raw = self._compile_raw()
+        from .emit import env_lambda  # emit imports this module
 
-        def fn(env, _raw=raw, _tree=self.evaluate):
+        def fn(env, _raw=env_lambda(self), _tree=self.evaluate):
             try:
                 return _raw(env)
             except KeyError:
@@ -132,23 +132,6 @@ class Expr:
 
         object.__setattr__(self, "_compiled", fn)
         return fn
-
-    def _compile_raw(self):
-        """The bare compiled closure, without the missing-binding guard.
-
-        Internal composition hook (:meth:`compile`, the boolean layer):
-        a raw closure raises ``KeyError`` on an unbound variable, so it
-        must only run under a top-level wrapper that falls back to the
-        tree walk for the precise :class:`UnboundVariableError`.
-        """
-        try:
-            return self._craw
-        except AttributeError:
-            pass
-        ns: dict = {"_fd": FloorDiv._apply, "_cd": CeilDiv._apply}
-        raw = eval("lambda env: " + _emit(self, ns), ns)  # noqa: PGH001 - controlled codegen
-        object.__setattr__(self, "_craw", raw)
-        return raw
 
     def subs(self, mapping: Mapping[str, ExprLike]) -> "Expr":
         """Substitute variables by expressions, returning a new expression."""
@@ -205,13 +188,13 @@ class Expr:
         return f"{type(self).__name__}<{self}>"
 
     # -- pickling -------------------------------------------------------------
-    # Caches (_hash, _fvs, _compiled, _craw) are rebuilt on demand; the
+    # Caches (_hash, _fvs, _compiled) are rebuilt on demand; the
     # compiled ones hold unpicklable closures, so state excludes them all.
     def __getstate__(self):
         state = {}
         for cls in type(self).__mro__:
             for name in getattr(cls, "__slots__", ()):
-                if name in ("_hash", "_fvs", "_compiled", "_craw"):
+                if name in ("_hash", "_fvs", "_compiled"):
                     continue
                 try:
                     state[name] = getattr(self, name)
@@ -579,39 +562,6 @@ class Mod(_Binary):
     @classmethod
     def _apply(cls, a, b):
         return a % b
-
-
-def _emit(node: Expr, ns: dict) -> str:
-    """Source fragment evaluating *node* against a dict named ``env``.
-
-    Helper of :meth:`Expr.compile`.  Known node kinds lower to flat
-    arithmetic; anything else (extended nodes like ``Sum`` / ``Cond``)
-    falls back to a captured reference to its own ``evaluate``.
-    """
-    ty = type(node)
-    if ty is Const:
-        return f"({node.value!r})"
-    if ty is Var:
-        return f"env[{node.name!r}]"
-    if ty is Add:
-        return "(" + " + ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Mul:
-        return "(" + " * ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Max:  # before Min: Max subclasses Min
-        return "max(" + ", ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Min:
-        return "min(" + ", ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Div:
-        return f"({_emit(node.a, ns)} / {_emit(node.b, ns)})"
-    if ty is FloorDiv:
-        return f"_fd({_emit(node.a, ns)}, {_emit(node.b, ns)})"
-    if ty is CeilDiv:
-        return f"_cd({_emit(node.a, ns)}, {_emit(node.b, ns)})"
-    if ty is Mod:
-        return f"({_emit(node.a, ns)} % {_emit(node.b, ns)})"
-    ref = f"_r{len(ns)}"
-    ns[ref] = node.evaluate
-    return f"{ref}(env)"
 
 
 def ceil_div(a: ExprLike, b: ExprLike) -> Expr:

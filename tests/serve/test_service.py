@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.api import ApiError, CampaignRequest, RunRequest
+from repro.api import ApiError, CampaignRequest, RunRequest, RunResult, canonical_json
 from repro.serve import (
     ReproServer,
     ServiceClient,
@@ -16,6 +16,7 @@ from repro.serve import (
     run_server,
 )
 from repro.store import ResultStore
+from repro.workflow.campaign import execute_request
 
 APP = "sample_nearest_neighbor"
 
@@ -101,6 +102,17 @@ def test_handle_run_single_query_and_cache(service):
     second = service.handle_run(dict(doc))
     assert second["cached"] is True
     assert second["result"] == first["result"]
+
+
+def test_handle_run_nas_sp_am_calibrates_by_the_campaign_rule(service):
+    # NAS SP needs a square rank count: a query that pins no calib_procs
+    # calibrates on min(nprocs, 16) ranks, exactly as execute_request does
+    run = RunRequest(app="nas_sp", mode="am", nprocs=4, inputs=(("niter", 1),))
+    out = service.handle_run({"run": run.to_json()})
+    want = RunResult.from_record(execute_request(
+        run, machine=service.default_machine, calib_procs=None)).to_json()
+    assert out["result"]["outcome"] == "ok"
+    assert canonical_json(out["result"]) == canonical_json(want)
 
 
 def test_handle_campaign_accepts_raw_grid(service):

@@ -350,6 +350,13 @@ class TestProfileCommand:
         assert "sim.run" in out
 
 
+class TestQueryCommand:
+    def test_nas_sp_am_default_calibration(self, capsys):
+        # the default calibration count must suit NAS SP's square grids
+        assert main(["query", "nas_sp", "--mode", "am", "--nprocs", "16"]) == 0
+        assert "nas_sp/am P=16: ok" in capsys.readouterr().out
+
+
 class TestPredictMethods:
     def test_taskgraph_method(self, capsys):
         assert main(["predict", "tomcatv", "--procs", "4", "--calib-procs", "4",
